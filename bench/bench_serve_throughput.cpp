@@ -1,6 +1,6 @@
 // Serving throughput bench: multi-threaded batched lookup against the
-// EmbeddingStore/LookupService across precision (fp32 vs bit-packed
-// quantized), hot-row cache on/off, and thread count — including a
+// EmbeddingStore/LookupService across row encoding (fp32, bit-packed
+// int8, product-quantized) and thread count — including a
 // hot-swap-under-load scenario showing version promotion costs readers
 // nothing.
 //
@@ -83,8 +83,7 @@ embed::Embedding random_embedding(std::uint64_t seed) {
   return e;
 }
 
-/// Zipf-ish skewed row id: popular rows dominate, so the hot-row cache has
-/// something to cache (uniform traffic would thrash any bounded cache).
+/// Zipf-ish skewed row id: popular rows dominate, as in served traffic.
 std::size_t skewed_id(Rng& rng) {
   const double u = rng.uniform();
   return static_cast<std::size_t>(u * u * u * static_cast<double>(kVocab)) %
@@ -169,8 +168,7 @@ void add_row(TextTable& table, std::vector<BenchCell>& cells,
              int threads, double mean_batch = 0.0) {
   table.add_row({label, std::to_string(threads),
                  format_double(s.qps / 1e6, 2), format_double(s.p50_latency_us, 1),
-                 format_double(s.p99_latency_us, 1),
-                 format_double(100.0 * s.cache_hit_rate(), 1) + "%"});
+                 format_double(s.p99_latency_us, 1)});
   cells.push_back({label, threads, s, mean_batch});
 }
 
@@ -229,53 +227,25 @@ int main(int argc, char** argv) {
             << store.snapshot("int8")->memory_bytes() << " pq4x8="
             << store.snapshot("pq4x8")->memory_bytes() << "\n\n";
 
-  TextTable table({"config", "threads", "Mqps", "p50 us", "p99 us",
-                   "cache hit"});
+  TextTable table({"config", "threads", "Mqps", "p50 us", "p99 us"});
   std::vector<BenchCell> cells;
   for (const int threads : native_threads) {
-    store.set_live("fp32");
-    {
-      serve::LookupService service(store, {.cache_rows_per_shard = 0});
-      add_row(table, cells, "fp32 nocache", run_cell(service, threads),
-              threads);
-    }
-    store.set_live("int8");
-    {
-      serve::LookupService service(store, {.cache_rows_per_shard = 0});
-      add_row(table, cells, "int8 nocache", run_cell(service, threads),
-              threads);
-    }
-    {
-      serve::LookupService service(store, {.cache_rows_per_shard = 1024});
-      add_row(table, cells, "int8 cached", run_cell(service, threads),
-              threads);
-    }
-    store.set_live("pq4x8");
-    {
-      serve::LookupService service(store, {.cache_rows_per_shard = 0});
-      add_row(table, cells, "pq4x8 nocache", run_cell(service, threads),
-              threads);
-    }
-    {
-      serve::LookupService service(store, {.cache_rows_per_shard = 1024});
-      add_row(table, cells, "pq4x8 cached", run_cell(service, threads),
-              threads);
+    for (const char* encoding : {"fp32", "int8", "pq4x8"}) {
+      store.set_live(encoding);
+      serve::LookupService service(store);
+      add_row(table, cells, encoding, run_cell(service, threads), threads);
     }
   }
   table.print(std::cout);
-  std::cout << "\nReading the grid: the cache only wins when a hit is "
-               "cheaper than re-dequantizing a row, i.e. for wide rows or "
-               "aggressive bit widths; at narrow dims the per-shard mutex "
-               "can cost more than the unpack it saves.\n";
 
   // Async coalescing: single-key futures only, batching done entirely by
-  // the AsyncLookupService dispatcher. Compare against "int8 nocache"
+  // the AsyncLookupService dispatcher. Compare against "int8"
   // above — that is the native lookup_batch(kBatch) hot path the
   // coalesced traffic is trying to match.
   std::cout << "\nasync coalesced single-key (window=" << kAsyncWindow
             << " futures/client, max_batch=" << kBatch << "):\n";
   store.set_live("int8");
-  serve::LookupService async_backend(store, {.cache_rows_per_shard = 0});
+  serve::LookupService async_backend(store);
   // The uncoalesced baseline: every single-key request pays the full
   // per-batch cost itself — what a naive RPC front-end would do, and the
   // number the batcher exists to beat.
@@ -298,17 +268,17 @@ int main(int argc, char** argv) {
   async_table.print(std::cout);
 
   // The acceptance ratio the JSON records: coalesced single-key QPS vs
-  // native batch QPS, both int8/nocache, at the highest common thread
+  // native batch QPS, both int8, at the highest common thread
   // count (p50 here is client-observed latency including queue wait, so
   // it is expected to sit near max_wait_us under light load).
   double native_ref = 0.0, async_ref = 0.0, pq_ref = 0.0;
   int ref_threads = 0;
   for (const BenchCell& c : cells) {
-    if (c.config == "int8 nocache" && c.threads >= 8) {
+    if (c.config == "int8" && c.threads >= 8) {
       native_ref = c.stats.qps;
       ref_threads = c.threads;
     }
-    if (c.config == "pq4x8 nocache" && c.threads >= 8) {
+    if (c.config == "pq4x8" && c.threads >= 8) {
       pq_ref = c.stats.qps;
     }
     if (c.config == "int8 async1key" && c.threads == 8) {
@@ -336,7 +306,7 @@ int main(int argc, char** argv) {
             << "):\n";
   store.set_live("int8");
   store.add_version("int8cand", source, q8);
-  serve::LookupService canary_backend(store, {.cache_rows_per_shard = 0});
+  serve::LookupService canary_backend(store);
   serve::BatcherConfig canary_batcher;
   canary_batcher.max_batch_size = kBatch;
   // The hash split turns each 64-key request into two underfull
@@ -419,8 +389,7 @@ int main(int argc, char** argv) {
       canary_cells[0].qps > 0.0
           ? 1.0 - canary_cells[1].qps / canary_cells[0].qps
           : 0.0;
-  TextTable canary_table({"config", "threads", "Mqps", "p50 us", "p99 us",
-                          "cache hit"});
+  TextTable canary_table({"config", "threads", "Mqps", "p50 us", "p99 us"});
   add_row(canary_table, cells, "int8 asyncbatch nocanary", baseline_cell,
           canary_threads);
   add_row(canary_table, cells, "int8 canary f0.1 s0.0", canary_cells[0],
@@ -519,8 +488,7 @@ int main(int argc, char** argv) {
       cluster_cells[0].qps > 0.0
           ? 1.0 - cluster_cells[1].qps / cluster_cells[0].qps
           : 0.0;
-  TextTable cluster_table({"config", "threads", "Mqps", "p50 us", "p99 us",
-                           "cache hit"});
+  TextTable cluster_table({"config", "threads", "Mqps", "p50 us", "p99 us"});
   add_row(cluster_table, cells, "int8 rpc direct", cluster_cells[0],
           cluster_threads);
   add_row(cluster_table, cells, "int8 cluster 2shard", cluster_cells[1],
@@ -533,7 +501,7 @@ int main(int argc, char** argv) {
   // read. Any stall or stale read would show up as a latency spike or a
   // crash; the snapshot shared_ptr design means neither can happen.
   std::cout << "\nhot-swap under load (4 threads, swap every 10ms):\n";
-  serve::LookupService service(store, {.cache_rows_per_shard = 1024});
+  serve::LookupService service(store);
   service.stats().reset();
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
@@ -582,7 +550,6 @@ int main(int argc, char** argv) {
     json.kv("qps", c.stats.qps);
     json.kv("p50_us", c.stats.p50_latency_us);
     json.kv("p99_us", c.stats.p99_latency_us);
-    json.kv("cache_hit_rate", c.stats.cache_hit_rate());
     if (c.mean_coalesced_batch > 0.0) {
       json.kv("mean_coalesced_batch", c.mean_coalesced_batch);
     }
@@ -600,9 +567,8 @@ int main(int argc, char** argv) {
   json.kv("fp32_memory_bytes", store.snapshot("fp32")->memory_bytes());
   json.kv("int8_memory_bytes", store.snapshot("int8")->memory_bytes());
   json.kv("pq_memory_bytes", store.snapshot("pq4x8")->memory_bytes());
-  json.kv("pq_nocache_qps", pq_ref);
-  json.kv("qps_vs_int8_nocache",
-          native_ref > 0.0 ? pq_ref / native_ref : 0.0);
+  json.kv("pq_qps", pq_ref);
+  json.kv("qps_vs_int8", native_ref > 0.0 ? pq_ref / native_ref : 0.0);
   json.end_object();
   json.key("async_vs_native").begin_object();
   json.kv("threads", ref_threads);

@@ -1010,8 +1010,6 @@ ClusterStatsReport ClusterClient::stats() {
                        const serve::StatsSnapshot& x) {
     acc->lookups += x.lookups;
     acc->batches += x.batches;
-    acc->cache_hits += x.cache_hits;
-    acc->cache_misses += x.cache_misses;
     acc->oov_fallbacks += x.oov_fallbacks;
     acc->qps += x.qps;
     acc->elapsed_seconds = std::max(acc->elapsed_seconds, x.elapsed_seconds);

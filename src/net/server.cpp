@@ -118,10 +118,6 @@ void Server::register_metrics() {
                 "Vectors served by the underlying LookupService "
                 "(canary traffic included)")
         .set(service.lookups);
-    reg.counter("anchor_cache_hits_total", "Hot-row cache hits")
-        .set(service.cache_hits);
-    reg.counter("anchor_cache_misses_total", "Hot-row cache misses")
-        .set(service.cache_misses);
     reg.counter("anchor_oov_fallbacks_total",
                 "Lookups answered via subword synthesis")
         .set(service.oov_fallbacks);

@@ -210,8 +210,10 @@ obs::HistogramSnapshot decode_histogram(WireReader* r) {
 void encode_stats_snapshot(const serve::StatsSnapshot& s, WireWriter* w) {
   w->u64(s.lookups);
   w->u64(s.batches);
-  w->u64(s.cache_hits);
-  w->u64(s.cache_misses);
+  // Two reserved slots (PROTOCOL.md): written as 0, ignored on read, so
+  // the v4 layout is unchanged for every peer.
+  w->u64(0);
+  w->u64(0);
   w->u64(s.oov_fallbacks);
   w->f64(s.elapsed_seconds);
   w->f64(s.qps);
@@ -226,8 +228,8 @@ serve::StatsSnapshot decode_stats_snapshot(WireReader* r) {
   serve::StatsSnapshot s;
   s.lookups = r->u64();
   s.batches = r->u64();
-  s.cache_hits = r->u64();
-  s.cache_misses = r->u64();
+  r->u64();  // reserved: older peers may send nonzero values here
+  r->u64();  // reserved
   s.oov_fallbacks = r->u64();
   s.elapsed_seconds = r->f64();
   s.qps = r->f64();

@@ -5,9 +5,9 @@
 // of up to `max_batch_size` keys (or whatever has accumulated once the
 // oldest waiter has aged `max_wait_us`) and executed through
 // LookupService::lookup_ids_into / lookup_words_into — so N callers doing
-// blocking single-key lookups ride the same batched cache/dequantize hot
+// blocking single-key lookups ride the same batched gather/dequantize hot
 // path a native batch caller gets, amortizing per-batch overhead
-// (snapshot resolve, shard locks, stats) across all of them.
+// (snapshot resolve, stats) across all of them.
 //
 // Two internal paths share that policy:
 //

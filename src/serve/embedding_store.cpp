@@ -163,7 +163,7 @@ void EmbeddingSnapshot::copy_rows(const std::size_t* ids, std::size_t n,
   }
   // PQ: gather the scattered rows' codes (m bytes each) into one contiguous
   // block, then decode the whole batch with a single fused kernel call —
-  // the batched unit the LookupService miss path hands us.
+  // the batched unit the LookupService gather hands us.
   const std::size_t m = config_.pq_m;
   thread_local std::vector<std::uint8_t> gathered;
   if (gathered.size() < n * m) gathered.resize(n * m);

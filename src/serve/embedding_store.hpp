@@ -36,8 +36,7 @@ struct SnapshotConfig {
   int bits = 32;
   /// Rows are distributed round-robin over shards (row → shard row % S),
   /// keeping per-shard storage independently allocated — the unit a future
-  /// NUMA/affinity placement works with. (The LookupService's cache has its
-  /// own fixed shard pool, independent of this count.)
+  /// NUMA/affinity placement works with.
   std::size_t num_shards = 8;
   /// When > 0, reuse this clip threshold instead of computing one — the
   /// Appendix C.2 convention of sharing the first snapshot's threshold with
@@ -113,7 +112,8 @@ class EmbeddingSnapshot {
   /// instead of re-encoding.
   const std::uint8_t* pq_row_codes(std::size_t w) const;
   /// Monotonically increasing id unique across all snapshots of a store;
-  /// hot-row caches key on it so a swap can never serve stale vectors.
+  /// ann::AnnService keys its per-snapshot index cache on it, so a swap can
+  /// never serve a stale index.
   std::uint64_t epoch() const { return epoch_; }
   /// True when the rows were Procrustes-aligned to the then-live snapshot
   /// at ingestion (SnapshotConfig::align_to_live actually applied).
@@ -134,7 +134,7 @@ class EmbeddingSnapshot {
 
   /// Batched copy_row: writes rows ids[0..n) consecutively into
   /// out[0 .. n·dim). Every id must be < vocab_size(). This is the unit the
-  /// LookupService's miss path and the gate's matrix export build on.
+  /// LookupService's gather and the gate's matrix export build on.
   void copy_rows(const std::size_t* ids, std::size_t n, float* out) const;
 
   /// Synthesizes a vector for an out-of-vocabulary word as the average of

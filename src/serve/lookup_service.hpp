@@ -1,19 +1,11 @@
 // Thread-safe batched embedding lookup over an EmbeddingStore.
 //
-// The hot path — resolve the live snapshot, gather rows into the caller's
-// output buffer — takes no global lock: the snapshot is an immutable
-// shared_ptr and the only synchronization is a fixed pool of 16 cache
-// shards, each a mutex-guarded LRU keyed by (snapshot epoch, row) — rows
-// spread over the pool by key, independently of the snapshot's own storage
-// sharding. Batches take each shard mutex at most twice per request batch
-// (one probe pass, one insert pass) and dequantize all misses in a single
-// block between them. The cache holds *dequantized* vectors, so
-// for quantized snapshots a popular row pays the unpack cost once per swap
-// instead of once per request (the same motivation as util/cache's
-// compute-once-serve-many artifact discipline, applied at row granularity).
-// Cache entries are keyed by (snapshot epoch, row), so a hot swap can never
-// serve a stale generation — old entries age out through normal LRU
-// eviction.
+// One path per batch: resolve the live snapshot (an immutable shared_ptr;
+// the store's mutex is held only to copy it), map every request to a row,
+// then gather all in-vocabulary rows with one EmbeddingSnapshot::copy_rows
+// call straight into the caller's output buffer. There is no row cache:
+// re-decoding a quantized or PQ row measured faster than a mutexed LRU of
+// decoded rows at every served encoding, from d=64 to d=300.
 //
 // Requests may also carry word *strings*; ids outside the live vocabulary
 // fall back to subword synthesis (embed/subword hashed n-grams) when the
@@ -21,11 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/embedding_store.hpp"
@@ -38,11 +27,6 @@ struct KeyLoadRecorder;
 namespace anchor::serve {
 
 struct LookupConfig {
-  /// Hot rows cached per *cache* shard (a fixed pool of 16, so total
-  /// capacity is 16× this, shared across live epochs). 0 disables caching.
-  /// Only quantized snapshots use the cache (it skips their repeated
-  /// unpacks); fp32 rows are a bare memcpy and always bypass it.
-  std::size_t cache_rows_per_shard = 256;
   /// When set, every lookup resolves this exact snapshot instead of the
   /// store's live one. Identity, not name: the canary router pins the
   /// candidate snapshot it evaluated, so a concurrent re-register under
@@ -117,29 +101,10 @@ class LookupService {
   ServeStats& stats() { return *stats_; }
 
  private:
-  struct CacheShard {
-    mutable std::mutex mu;
-    // LRU: most-recent at front; map values point into the list.
-    struct Entry {
-      std::uint64_t key = 0;
-      std::vector<float> vec;
-    };
-    std::list<Entry> lru;
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-  };
-
-  /// Batched row gather through the shard cache: one probe pass taking each
-  /// cache shard's mutex at most once (hits copied under that lock), one
-  /// lock-free block dequantize of every miss straight into the result
-  /// buffer, one insert pass (again one lock per shard, recycling evicted
-  /// LRU nodes so the steady state allocates nothing). Entries of `rows`
-  /// equal to the OOV sentinel are skipped.
-  void fetch_rows(const EmbeddingSnapshot& snap,
-                  const std::vector<std::size_t>& rows, float* out) const;
-
   /// Shared batch skeleton: resolve the live snapshot, map every request to
   /// a row id via `resolve(i, snap, &row)` (false = OOV), gather all rows
-  /// in one fetch_rows pass, fill OOV slots via `oov_fill`, record stats.
+  /// in one copy_rows call, write every OOV slot in full via `oov_fill`,
+  /// record stats.
   /// Writes into `*out` (reusing its buffers). Defined in the .cpp; the
   /// public entry points instantiate it there.
   template <typename Resolve, typename OovFill>
@@ -149,7 +114,6 @@ class LookupService {
   const EmbeddingStore& store_;
   LookupConfig config_;
   std::shared_ptr<ServeStats> stats_;
-  mutable std::vector<CacheShard> cache_shards_;
 };
 
 }  // namespace anchor::serve

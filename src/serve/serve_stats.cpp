@@ -15,8 +15,6 @@ StatsSnapshot ServeStats::snapshot() const {
   StatsSnapshot s;
   s.lookups = lookups_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.oov_fallbacks = oov_fallbacks_.load(std::memory_order_relaxed);
 
   const auto start = std::chrono::steady_clock::time_point(
@@ -37,8 +35,6 @@ StatsSnapshot ServeStats::snapshot() const {
 void ServeStats::reset() {
   lookups_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
   oov_fallbacks_.store(0, std::memory_order_relaxed);
   latency_.reset();
   start_ticks_.store(
@@ -56,8 +52,7 @@ std::ostream& operator<<(std::ostream& os, const StatsSnapshot& s) {
   os << "lookups=" << s.lookups << " batches=" << s.batches
      << " qps=" << s.qps << " p50=" << s.p50_latency_us
      << "us p99=" << s.p99_latency_us
-     << "us cache_hit_rate=" << s.cache_hit_rate()
-     << " oov=" << s.oov_fallbacks;
+     << "us oov=" << s.oov_fallbacks;
   return os;
 }
 

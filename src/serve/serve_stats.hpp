@@ -23,8 +23,6 @@ namespace anchor::serve {
 struct StatsSnapshot {
   std::uint64_t lookups = 0;        // individual vectors served
   std::uint64_t batches = 0;        // batched requests served
-  std::uint64_t cache_hits = 0;     // hot-row cache hits
-  std::uint64_t cache_misses = 0;
   std::uint64_t oov_fallbacks = 0;  // lookups answered via subword synthesis
   double elapsed_seconds = 0.0;     // since construction or last reset
   double qps = 0.0;                 // lookups / elapsed_seconds
@@ -35,13 +33,6 @@ struct StatsSnapshot {
   /// The full mergeable latency histogram (µs). Cluster aggregation merges
   /// these and re-derives the quantiles, never maxes the percentiles.
   obs::HistogramSnapshot latency;
-
-  double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
 
   /// Re-derives p50/p99 from `latency` — what cluster aggregation calls
   /// after merging shard histograms into this snapshot.
@@ -69,12 +60,6 @@ class ServeStats {
     lookups_.fetch_add(lookups, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
   }
-  void record_cache_hit(std::uint64_t n = 1) {
-    cache_hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void record_cache_miss(std::uint64_t n = 1) {
-    cache_misses_.fetch_add(n, std::memory_order_relaxed);
-  }
   void record_oov(std::uint64_t n = 1) {
     oov_fallbacks_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -99,8 +84,6 @@ class ServeStats {
  private:
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> oov_fallbacks_{0};
   /// Per-batch latency samples in µs. Covers every sampled batch since
   /// the last reset (no ring, no windowing): quantiles describe the whole

@@ -165,6 +165,48 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   EXPECT_THROW(decode_gate_report(&cr), WireError);
 }
 
+TEST(Wire, StatsSnapshotReservedSlotsAreZeroAndIgnoredOnRead) {
+  // Slots 3 and 4 of a StatsSnapshot once carried hot-row cache hits and
+  // misses. Writers now send 0 there; a frame from an older peer that
+  // still sends counts must decode, with every other field intact.
+  serve::StatsSnapshot s;
+  s.lookups = 11;
+  s.batches = 2;
+  s.oov_fallbacks = 1;
+  WireWriter w;
+  encode_stats_snapshot(s, &w);
+  WireReader raw(w.buffer());
+  EXPECT_EQ(raw.u64(), 11u);
+  EXPECT_EQ(raw.u64(), 2u);
+  EXPECT_EQ(raw.u64(), 0u);  // reserved
+  EXPECT_EQ(raw.u64(), 0u);  // reserved
+
+  obs::LogHistogram latency;
+  latency.record(40.0);
+  WireWriter old;
+  old.u64(9);    // lookups
+  old.u64(3);    // batches
+  old.u64(6);    // reserved: cache hits from an older peer
+  old.u64(4);    // reserved: cache misses
+  old.u64(1);    // oov_fallbacks
+  old.f64(2.0);  // elapsed_seconds
+  old.f64(4.5);  // qps
+  old.f64(40.0);
+  old.f64(41.0);
+  encode_histogram(latency.snapshot(), &old);
+  WireReader r(old.buffer());
+  const serve::StatsSnapshot back = decode_stats_snapshot(&r);
+  r.expect_done();
+  EXPECT_EQ(back.lookups, 9u);
+  EXPECT_EQ(back.batches, 3u);
+  EXPECT_EQ(back.oov_fallbacks, 1u);
+  EXPECT_EQ(back.elapsed_seconds, 2.0);
+  EXPECT_EQ(back.qps, 4.5);
+  EXPECT_EQ(back.p50_latency_us, 40.0);
+  EXPECT_EQ(back.p99_latency_us, 41.0);
+  EXPECT_EQ(back.latency.count, 1u);
+}
+
 TEST(Wire, CanaryStatusRoundTrip) {
   CanaryStatusReport status;
   status.state = serve::CanaryState::kRunning;

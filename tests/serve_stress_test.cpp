@@ -60,16 +60,15 @@ bool slice_matches(const ResultSlice& slice, const LookupResult& expected) {
 
 class StressCase {
  public:
-  StressCase(int bits, std::size_t cache_rows)
-      : config_{.cache_rows_per_shard = cache_rows} {
+  explicit StressCase(int bits) {
     SnapshotConfig snap;
     snap.bits = bits;
     store_.add_version("live", random_embedding(41), snap);
   }
 
   void run(int threads, int requests_per_thread, std::uint64_t seed) {
-    LookupService service(store_, config_);
-    const LookupService direct(store_, config_);
+    LookupService service(store_);
+    const LookupService direct(store_);
     std::atomic<std::uint64_t> resolved{0};
     std::atomic<std::uint64_t> mismatches{0};
     std::uint64_t issued_total = 0;
@@ -172,15 +171,14 @@ class StressCase {
 
  private:
   EmbeddingStore store_;
-  LookupConfig config_;
 };
 
-TEST(AsyncStress, MixedTrafficFp32NoCacheResolvesBitIdentical) {
-  StressCase(32, 0).run(/*threads=*/4, /*requests_per_thread=*/600, 101);
+TEST(AsyncStress, MixedTrafficFp32ResolvesBitIdentical) {
+  StressCase(32).run(/*threads=*/4, /*requests_per_thread=*/600, 101);
 }
 
-TEST(AsyncStress, MixedTrafficInt8CachedResolvesBitIdentical) {
-  StressCase(8, 128).run(/*threads=*/4, /*requests_per_thread=*/600, 202);
+TEST(AsyncStress, MixedTrafficInt8ResolvesBitIdentical) {
+  StressCase(8).run(/*threads=*/4, /*requests_per_thread=*/600, 202);
 }
 
 TEST(AsyncStress, TinyRingForcesBackpressureAndStillResolvesAll) {

@@ -1,12 +1,14 @@
 // Tests for the serving subsystem: snapshot encoding/sharding, versioned
-// store semantics, thread-safe cached lookup, hot swap under concurrency,
+// store semantics, thread-safe batched lookup, hot swap under concurrency,
 // and the instability-gated promotion path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
 
 #include "compress/pq.hpp"
@@ -536,105 +538,77 @@ TEST(Lookup, EmptyStoreThrows) {
   EXPECT_THROW(service.lookup_ids({0}), CheckError);
 }
 
-TEST(Lookup, RepeatedRowsHitTheCache) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 21),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
-  service.lookup_ids({3, 3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 3u);
-  EXPECT_GT(stats.cache_hit_rate(), 0.7);
-}
+TEST(Lookup, EveryEncodingServesRowsBitIdenticalToCopyRow) {
+  // One gather path serves every encoding: each in-vocabulary slot must be
+  // byte-identical to EmbeddingSnapshot::copy_row (in-batch duplicates
+  // included), and the OOV slots between them must hold zeros (ids) or
+  // the subword synthesis (words), whatever the reused result held before.
+  const struct {
+    const char* name;
+    SnapshotConfig config;
+  } encodings[] = {
+      {"fp32", {}},
+      {"int1", {.bits = 1}},
+      {"int2", {.bits = 2}},
+      {"int4", {.bits = 4}},
+      {"int8", {.bits = 8}},
+      {"pq:4x4", {.pq_m = 4, .pq_bits = 4}},
+  };
+  constexpr std::size_t kVocab = 60;
+  const auto e = random_embedding(kVocab, 16, 31);
+  const std::vector<std::size_t> ids = {7, 60, 3, 7, 59, 1000, 0, 3, 61};
+  std::vector<std::string> words;
+  for (const std::size_t id : ids) words.push_back("w" + std::to_string(id));
+  words.push_back("zebra");
 
-TEST(Lookup, CachedBatchEqualsUncachedBatch) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(60, 13, 28),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService cached(store, {.cache_rows_per_shard = 4});
-  LookupService uncached(store, {.cache_rows_per_shard = 0});
-  Rng rng(29);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::size_t> ids(37);
-    for (auto& id : ids) id = rng.index(60);
-    ids[3] = ids[11];  // in-batch duplicate
-    const auto a = cached.lookup_ids(ids);
-    const auto b = uncached.lookup_ids(ids);
-    ASSERT_EQ(a.vectors.size(), b.vectors.size());
-    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-      EXPECT_EQ(a.vectors[i], b.vectors[i]) << "round=" << round << " i=" << i;
+  for (const auto& enc : encodings) {
+    SCOPED_TRACE(enc.name);
+    EmbeddingStore store;
+    const SnapshotPtr snap = store.add_version("v1", e, enc.config);
+    ASSERT_TRUE(snap->has_oov_table());
+    LookupService service(store);
+    std::vector<float> want(e.dim);
+
+    LookupResult by_id;
+    by_id.vectors.assign(4 * ids.size() * e.dim, std::nanf(""));  // stale
+    service.lookup_ids_into(ids, &by_id);
+    ASSERT_EQ(by_id.size(), ids.size());
+    ASSERT_EQ(by_id.vectors.size(), ids.size() * e.dim);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      SCOPED_TRACE("id " + std::to_string(ids[i]));
+      EXPECT_EQ(by_id.oov[i], ids[i] >= kVocab ? 1 : 0);
+      if (ids[i] < kVocab) {
+        snap->copy_row(ids[i], want.data());
+      } else {
+        std::fill(want.begin(), want.end(), 0.0f);
+      }
+      EXPECT_EQ(std::memcmp(by_id.row(i), want.data(),
+                            e.dim * sizeof(float)),
+                0);
     }
-  }
-  // The tiny 4-rows-per-shard capacity forces constant eviction/recycling
-  // above; the cache must still have answered something.
-  EXPECT_GT(cached.stats().snapshot().cache_hits, 0u);
-}
 
-TEST(Lookup, DuplicateRowsInOneBatchMissOnlyOnce) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 30),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
-  const auto r = service.lookup_ids({7, 7, 2, 7, 2});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_misses, 2u);  // rows 7 and 2
-  EXPECT_EQ(stats.cache_hits, 3u);    // the three repeats
-  for (std::size_t j = 0; j < r.dim; ++j) {
-    EXPECT_EQ(r.row(0)[j], r.row(1)[j]);
-    EXPECT_EQ(r.row(0)[j], r.row(3)[j]);
-    EXPECT_EQ(r.row(2)[j], r.row(4)[j]);
-  }
-}
-
-TEST(Lookup, CacheDisabledRecordsNothing) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 22),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store, {.cache_rows_per_shard = 0});
-  service.lookup_ids({3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
-  EXPECT_EQ(stats.lookups, 3u);
-}
-
-TEST(Lookup, Fp32SnapshotsBypassTheCache) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 22));  // fp32
-  LookupService service(store);  // caching enabled
-  service.lookup_ids({3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
-}
-
-TEST(Lookup, PqSnapshotsUseTheCacheAndStayBitIdentical) {
-  // Unlike fp32 (raw memcpy, cache is pure overhead), PQ rows pay a real
-  // decode on every miss, so they flow through the row cache — and hits
-  // must be byte-identical to misses since both come from pq_decode_rows
-  // over the same codes.
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(60, 16, 58),
-                    {.pq_m = 4, .pq_bits = 4, .build_oov_table = false});
-  LookupService cached(store, {.cache_rows_per_shard = 4});
-  LookupService uncached(store, {.cache_rows_per_shard = 0});
-  Rng rng(59);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::size_t> ids(31);
-    for (auto& id : ids) id = rng.index(60);
-    ids[2] = ids[17];  // in-batch duplicate
-    const auto a = cached.lookup_ids(ids);
-    const auto b = uncached.lookup_ids(ids);
-    ASSERT_EQ(a.vectors.size(), b.vectors.size());
-    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-      EXPECT_EQ(a.vectors[i], b.vectors[i]) << "round=" << round << " i=" << i;
+    LookupResult by_word;
+    by_word.vectors.assign(4 * words.size() * e.dim, std::nanf(""));
+    service.lookup_words_into(words, &by_word);
+    ASSERT_EQ(by_word.size(), words.size());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      SCOPED_TRACE(words[i]);
+      const bool in_vocab = i < ids.size() && ids[i] < kVocab;
+      EXPECT_EQ(by_word.oov[i], in_vocab ? 0 : 1);
+      if (in_vocab) {
+        snap->copy_row(ids[i], want.data());
+      } else {
+        snap->synthesize_oov(words[i], want.data());
+      }
+      EXPECT_EQ(std::memcmp(by_word.row(i), want.data(),
+                            e.dim * sizeof(float)),
+                0);
     }
+    EXPECT_EQ(service.stats().snapshot().oov_fallbacks, 3u + 4u);
   }
-  const auto stats = cached.stats().snapshot();
-  EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_GT(stats.cache_misses, 0u);
 }
 
-TEST(Lookup, HotSwapServesNewVersionNotStaleCache) {
+TEST(Lookup, HotSwapServesTheNewVersion) {
   EmbeddingStore store;
   const auto e1 = random_embedding(10, 4, 23);
   const auto e2 = random_embedding(10, 4, 24);
@@ -642,7 +616,7 @@ TEST(Lookup, HotSwapServesNewVersionNotStaleCache) {
   store.add_version("v2", e2);
   LookupService service(store);
 
-  service.lookup_ids({5, 5});  // warm the cache with v1's row 5
+  service.lookup_ids({5, 5});  // serve v1's row 5 first
   store.set_live("v2");
   const LookupResult result = service.lookup_ids({5});
   EXPECT_EQ(result.version, "v2");
@@ -730,11 +704,11 @@ TEST(Stats, CountsAndPercentiles) {
 TEST(Stats, ResetZeroesEverything) {
   ServeStats stats;
   stats.record_batch(5, 1.0);
-  stats.record_cache_hit();
+  stats.record_oov();
   stats.reset();
   const StatsSnapshot snap = stats.snapshot();
   EXPECT_EQ(snap.lookups, 0u);
-  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.oov_fallbacks, 0u);
   EXPECT_EQ(snap.p99_latency_us, 0.0);
 }
 
@@ -830,7 +804,6 @@ TEST(Stats, ResetUnderConcurrentRecordingStaysCoherent) {
       }
       for (int i = 0; i < kPerThread; ++i) {
         stats.record_batch(2, 5.0 + (i % 3));
-        stats.record_cache_hit();
         stats.record_oov();
       }
     });

@@ -172,7 +172,7 @@ class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("anchor_cache_test_" + std::to_string(::getpid()));
+           ("anchor_artifact_cache_test_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

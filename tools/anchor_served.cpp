@@ -117,8 +117,6 @@ int main(int argc, char** argv) {
                     "uniform quantized, pq:<m>x<b> = product-quantized "
                     "(m sub-vectors, b-bit codes, e.g. pq:4x8)", "32");
   parser.add_option("shards", "storage shards per snapshot", "8");
-  parser.add_option("cache-rows",
-                    "hot rows per lookup-cache shard (0 disables)", "256");
   parser.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "0");
   parser.add_option("metrics",
                     "Prometheus scrape port on 127.0.0.1 (0 = ephemeral, "
@@ -262,8 +260,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(parser.get_int("hot-keys"));
     config.heat_buckets =
         static_cast<std::size_t>(parser.get_int("heat-buckets"));
-    config.lookup.cache_rows_per_shard =
-        static_cast<std::size_t>(parser.get_int("cache-rows"));
     config.batcher.max_batch_size =
         static_cast<std::size_t>(parser.get_int("max-batch"));
     config.batcher.max_wait_us =

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/client.hpp"
+#include "obs/load_plane.hpp"
 #include "serve/deployment_gate.hpp"
 #include "util/check.hpp"
 
@@ -24,8 +25,15 @@ bool canary_terminal(serve::CanaryState s) {
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
       windowed_(config_.windowed),
+      load_(obs::make_key_load_recorder(config_.hot_key_capacity,
+                                        config_.map.total_rows(),
+                                        config_.heat_buckets)),
       slo_(config_.slo),
-      listener_(net::TcpListener::bind_loopback(config_.port)) {
+      rpc_(config_.port, config_.poll_interval_ms, config_.io_timeout_ms,
+           obs::TraceStage::kRouterRecv,
+           &metrics_.counter(
+               "anchor_router_requests_total",
+               "Request frames dispatched by the router (all types)")) {
   // Fail at construction, not at the first connection: an empty map
   // would otherwise throw from a handler thread (outside its try block)
   // and std::terminate the process.
@@ -35,15 +43,6 @@ Router::Router(RouterConfig config)
   hedge_ = std::make_shared<HedgePolicy>(config_.map.num_shards(),
                                          config_.hedge_policy);
   counters_ = std::make_shared<ClusterCounters>();
-  if (config_.hot_key_capacity != 0) {
-    obs::SpaceSavingSketch::Config sketch;
-    sketch.capacity = config_.hot_key_capacity;
-    obs::RangeHeatMap::Config heat;
-    heat.row_begin = 0;
-    heat.row_end = config_.map.total_rows();
-    heat.buckets = config_.heat_buckets != 0 ? config_.heat_buckets : 1;
-    load_ = std::make_unique<obs::KeyLoadRecorder>(sketch, heat);
-  }
   ClusterConfig cc_config;
   cc_config.map = config_.map;
   cc_config.io_timeout_ms = config_.backend_io_timeout_ms;
@@ -61,12 +60,10 @@ Router::Router(RouterConfig config)
       hedge_, counters_);
   rollout_.shards.assign(config_.map.num_shards(), {});
   register_metrics();
+  register_handlers();
 }
 
 void Router::register_metrics() {
-  requests_total_ = &metrics_.counter(
-      "anchor_router_requests_total",
-      "Request frames dispatched by the router (all types)");
   lookups_total_ = &metrics_.counter(
       "anchor_router_lookups_total",
       "Scatter-gather lookups executed (ids + words)");
@@ -140,149 +137,33 @@ void Router::register_metrics() {
               "Trace spans recorded into this process's span ring")
         .set(obs::Tracer::instance().spans_recorded());
   });
-  // The router's own windowed plane: rolling lookup rates, SLO burn, and
-  // global-id heavy hitters (label-swap discipline as in net::Server).
-  auto last_top = std::make_shared<std::vector<std::string>>();
-  metrics_.on_collect([this, last_top](obs::MetricsRegistry& r) {
-    const obs::WindowedSnapshot w = windowed_.snapshot();
-    r.gauge("anchor_router_window_qps_10s",
-            "Cluster lookups/s over the last 10 s")
-        .set(w.qps(10'000'000ull));
-    r.gauge("anchor_router_window_qps_1m",
-            "Cluster lookups/s over the last 60 s")
-        .set(w.qps(60'000'000ull));
-    r.gauge("anchor_router_window_error_rate_1m",
-            "Degraded-lookup fraction over the last 60 s")
-        .set(w.error_rate(60'000'000ull));
-    r.gauge("anchor_router_window_p99_us_1m",
-            "Scatter-gather p99 latency (µs) over the last 60 s")
-        .set(w.latency_in(60'000'000ull).quantile(0.99));
-    const obs::SloState slo = slo_.evaluate(w);
-    r.gauge("anchor_router_slo_burn_short",
-            "SLO burn rate over the short window (1.0 = exactly on budget)")
-        .set(slo.short_burn);
-    r.gauge("anchor_router_slo_burn_long",
-            "SLO burn rate over the long window")
-        .set(slo.long_burn);
-    r.gauge("anchor_router_slo_alert_state",
-            "Multi-window burn-rate alert (0 ok, 1 warn, 2 page)")
-        .set(static_cast<double>(slo.alert));
-    if (load_ != nullptr) {
-      const obs::SketchSnapshot sketch = load_->sketch.snapshot();
-      r.counter("anchor_router_key_load_records_total",
-                "Global key occurrences offered to the router's sketch")
-          .set(sketch.total);
-      constexpr std::size_t kExportRanks = 8;
-      const std::vector<obs::HeavyHitter> top = sketch.top(kExportRanks);
-      last_top->resize(kExportRanks);
-      for (std::size_t rank = 0; rank < kExportRanks; ++rank) {
-        std::string name;
-        if (rank < top.size()) {
-          name = "anchor_router_top_key_count{rank=\"" +
-                 std::to_string(rank) + "\",id=\"" +
-                 std::to_string(top[rank].key) + "\"}";
-        }
-        if ((*last_top)[rank] != name && !(*last_top)[rank].empty()) {
-          r.gauge((*last_top)[rank],
-                  "Sketch count of the rank-N hottest global key")
-              .set(0.0);
-        }
-        (*last_top)[rank] = name;
-        if (!name.empty()) {
-          r.gauge(name, "Sketch count of the rank-N hottest global key")
-              .set(static_cast<double>(top[rank].count));
-        }
-      }
-      const obs::HeatMapSnapshot heat = load_->heat.snapshot();
-      std::size_t populated = 0;
-      for (const obs::HeatRange& range : heat.ranges) {
-        for (std::size_t b = 0; b < range.buckets.size(); ++b) {
-          if (range.buckets[b] == 0) continue;
-          ++populated;
-          r.counter("anchor_router_heat_bucket_total{bucket=\"" +
-                        std::to_string(b) + "\"}",
-                    "Lookups landing in this global id-range bucket")
-              .set(range.buckets[b]);
-        }
-      }
-      r.gauge("anchor_router_heat_buckets_populated",
-              "Router heat-map buckets that have recorded any load")
-          .set(static_cast<double>(populated));
-    }
-  });
+  // The router's own windowed plane: rolling lookup rates (degraded
+  // lookups count as errors), SLO burn, and global-id heavy hitters.
+  obs::export_load_plane(metrics_, "anchor_router_", windowed_, slo_,
+                         load_.get());
 }
 
 Router::~Router() { stop(); }
 
-void Router::run() { accept_loop(); }
-
 void Router::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  if (config_.probe_interval_ms > 0) {
+    probe_thread_ = std::thread([this] { probe_loop(); });
+  }
+  rpc_.start();
 }
 
 void Router::stop() {
-  stop_.store(true, std::memory_order_release);
   rollout_abort_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  while (accept_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  rpc_.stop();
   if (probe_thread_.joinable()) probe_thread_.join();
+  // The rollout thread is replaced only under rollout_mu_ while not
+  // running, so joining the current handle here races nothing.
+  std::thread rollout;
   {
-    // The rollout thread is replaced only under rollout_mu_ while not
-    // running, so joining the current handle here races nothing.
-    std::thread rollout;
-    {
-      std::lock_guard<std::mutex> lock(rollout_mu_);
-      rollout.swap(rollout_thread_);
-    }
-    if (rollout.joinable()) rollout.join();
+    std::lock_guard<std::mutex> lock(rollout_mu_);
+    rollout.swap(rollout_thread_);
   }
-  reap_connections(/*all=*/true);
-  listener_.close();
-}
-
-void Router::reap_connections(bool all) {
-  std::vector<std::unique_ptr<Connection>> to_join;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (all) {
-      to_join.swap(connections_);
-    } else {
-      for (std::size_t i = 0; i < connections_.size();) {
-        if (connections_[i]->done.load(std::memory_order_acquire)) {
-          to_join.push_back(std::move(connections_[i]));
-          connections_[i] = std::move(connections_.back());
-          connections_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-  for (auto& conn : to_join) conn->thread.join();
-}
-
-void Router::accept_loop() {
-  accept_running_.store(true, std::memory_order_release);
-  if (config_.probe_interval_ms > 0 && !probe_thread_.joinable()) {
-    probe_thread_ = std::thread([this] { probe_loop(); });
-  }
-  while (!stop_.load(std::memory_order_acquire)) {
-    reap_connections(/*all=*/false);
-    net::TcpStream conn = listener_.accept(config_.poll_interval_ms);
-    if (!conn.valid()) continue;
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    raw->thread =
-        std::thread([this, raw, stream = std::move(conn)]() mutable {
-          handle_connection(std::move(stream));
-          raw->done.store(true, std::memory_order_release);
-        });
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.push_back(std::move(connection));
-  }
-  accept_running_.store(false, std::memory_order_release);
+  if (rollout.joinable()) rollout.join();
 }
 
 void Router::probe_loop() {
@@ -290,11 +171,11 @@ void Router::probe_loop() {
   // backend knows within one probe, not one interval. Probes are per
   // REPLICA: one dead member of a replica set must not take the shard's
   // live members out of rotation.
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!rpc_.stopping()) {
     for (std::size_t b = 0; b < config_.map.num_shards(); ++b) {
       const ShardSpec& spec = config_.map.shard(b);
       for (std::size_t rep = 0; rep < spec.num_replicas(); ++rep) {
-        if (stop_.load(std::memory_order_acquire)) return;
+        if (rpc_.stopping()) return;
         const Endpoint& ep = spec.replica(rep);
         health_->mark(b, rep,
                       ClusterClient::probe(ep.host, ep.port,
@@ -303,57 +184,25 @@ void Router::probe_loop() {
     }
     // Stop-responsive sleep between sweeps.
     for (int waited = 0;
-         waited < config_.probe_interval_ms &&
-         !stop_.load(std::memory_order_acquire);
+         waited < config_.probe_interval_ms && !rpc_.stopping();
          waited += 10) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
 }
 
-void Router::handle_connection(net::TcpStream stream) {
-  stream.set_io_timeout(config_.io_timeout_ms);
-  net::MsgType type{};
-  std::vector<std::uint8_t> payload;
-  obs::TraceContext trace;
-  try {
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (!stream.wait_readable(config_.poll_interval_ms)) continue;
-      if (!net::read_frame(stream, &type, &payload, &trace)) break;
-      // router_recv brackets the whole router-side handling: frame
-      // parsed → reply written (scatter/merge spans nest inside it).
-      const std::uint64_t recv_ns =
-          trace.sampled() ? obs::Tracer::now_ns() : 0;
-      const bool keep = dispatch(stream, type, payload, trace);
-      if (trace.sampled()) {
-        obs::Tracer::instance().record(trace, obs::TraceStage::kRouterRecv,
-                                       recv_ns, obs::Tracer::now_ns());
-      }
-      if (!keep) break;
-    }
-  } catch (const net::WireError&) {
-    // Malformed framing from the client: close without a reply, exactly
-    // like the backend server does.
-  } catch (const net::NetError&) {
-  }
-}
-
-bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
-                      const std::vector<std::uint8_t>& payload,
-                      const obs::TraceContext& trace) {
-  net::WireReader reader(payload);
-  net::WireWriter reply;
-  requests_total_->inc();
-  const auto send_error = [&](const std::string& message) {
-    net::WireWriter err;
-    err.str(message);
-    net::write_frame(stream, net::MsgType::kError, err);
-  };
-  // Borrows a pooled client, runs one scatter-gather lookup on it (timed
-  // into the router's latency histogram, lookup/degraded counters
-  // maintained), releases the slot BEFORE the reply is written back —
-  // a slow client draining its reply must not hold a pool slot.
-  const auto timed_lookup = [&](const auto& body) {
+void Router::register_handlers() {
+  using net::MsgType;
+  using net::RpcCall;
+  using net::WireWriter;
+  // Runs one scatter-gather lookup `body(cc)` on a pooled client (timed
+  // into the latency histogram, lookup/degraded counters maintained) and
+  // releases the slot before the reply is written back — a slow client
+  // draining its reply must not hold a pool slot. A sampled `trace` joins
+  // the scatter / per-shard RTT / merge spans and the backends' frames to
+  // the request's trace.
+  const auto timed_lookup = [this](const obs::TraceContext& trace,
+                                   const auto& body) {
     const auto start = std::chrono::steady_clock::now();
     pool_->with_client([&](ClusterClient& cc) {
       if (trace.sampled()) cc.set_trace(trace);
@@ -365,191 +214,147 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
                                 std::chrono::steady_clock::now() - start)
                                 .count());
   };
-  switch (type) {
-    case net::MsgType::kLookupIds: {
-      const std::uint32_t n = reader.u32();
-      if (n > reader.remaining() / sizeof(std::uint64_t)) {
-        throw net::WireError("id count exceeds payload");
+  rpc_.handle(MsgType::kLookupIds, [timed_lookup](RpcCall& call) {
+    const std::vector<std::size_t> ids = net::decode_lookup_ids(&call.reader);
+    serve::LookupResult merged;
+    timed_lookup(call.trace,
+                 [&](ClusterClient& cc) { merged = cc.lookup_ids(ids); });
+    WireWriter reply;
+    net::encode_lookup_result(merged, &reply);
+    net::write_frame(call.stream, MsgType::kLookupIdsReply, reply);
+    return true;
+  });
+  rpc_.handle(MsgType::kLookupWords, [timed_lookup](RpcCall& call) {
+    const std::vector<std::string> words =
+        net::decode_lookup_words(&call.reader);
+    serve::LookupResult merged;
+    timed_lookup(call.trace,
+                 [&](ClusterClient& cc) { merged = cc.lookup_words(words); });
+    WireWriter reply;
+    net::encode_lookup_result(merged, &reply);
+    net::write_frame(call.stream, MsgType::kLookupWordsReply, reply);
+    return true;
+  });
+  rpc_.handle(MsgType::kTopK, [this](RpcCall& call) {
+    // The router always answers FINAL mode: per-shard candidates are an
+    // internal protocol between ClusterClient and the backends, and a
+    // router-of-routers would need per-shard row offsets it doesn't have.
+    // req.mode is therefore ignored here.
+    const net::TopKRequest req = net::decode_topk_request(&call.reader);
+    call.reader.expect_done();
+    ann::TopKResult merged;
+    const auto start = std::chrono::steady_clock::now();
+    pool_->with_client([&](ClusterClient& cc) {
+      if (call.trace.sampled()) cc.set_trace(call.trace);
+      switch (req.kind) {
+        case net::kTopKKindId:
+          merged = cc.topk_id(req.id, req.k, req.nprobe, req.rerank);
+          break;
+        case net::kTopKKindWord:
+          merged = cc.topk_word(req.word, req.k, req.nprobe, req.rerank);
+          break;
+        default:
+          merged = cc.topk_vector(req.vector, req.k, req.nprobe, req.rerank);
+          break;
       }
-      std::vector<std::size_t> ids(n);
-      for (auto& id : ids) id = static_cast<std::size_t>(reader.u64());
-      reader.expect_done();
-      try {
-        serve::LookupResult merged;
-        timed_lookup(
-            [&](ClusterClient& cc) { merged = cc.lookup_ids(ids); });
-        net::encode_lookup_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kLookupIdsReply, reply);
-      } catch (const net::NetError&) {
-        throw;  // client-side transport failure mid-reply: close
-      } catch (const std::exception& e) {
-        send_error(e.what());  // e.g. reply would exceed the frame cap
-      }
+    });
+    topk_total_->inc();
+    if (merged.flags & ann::kTopKFlagPartial) topk_partial_->inc();
+    topk_latency_->record(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+    WireWriter reply;
+    net::encode_topk_result(merged, &reply);
+    net::write_frame(call.stream, MsgType::kTopKReply, reply);
+    return true;
+  });
+  rpc_.handle(MsgType::kRolloutStart, [this](RpcCall& call) {
+    const std::string candidate = call.reader.str();
+    const std::uint8_t mode = call.reader.u8();
+    const double fraction = call.reader.f64();
+    const double shadow_rate = call.reader.f64();
+    call.reader.expect_done();
+    const std::string error =
+        start_rollout(candidate, mode, fraction, shadow_rate);
+    if (!error.empty()) {
+      net::reply_error(call.stream, error);
       return true;
     }
-    case net::MsgType::kLookupWords: {
-      const std::uint32_t n = reader.u32();
-      if (n > reader.remaining() / sizeof(std::uint32_t)) {
-        throw net::WireError("word count exceeds payload");
-      }
-      std::vector<std::string> words(n);
-      for (auto& word : words) word = reader.str();
-      reader.expect_done();
-      try {
-        serve::LookupResult merged;
-        timed_lookup(
-            [&](ClusterClient& cc) { merged = cc.lookup_words(words); });
-        net::encode_lookup_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kLookupWordsReply, reply);
-      } catch (const net::NetError&) {
-        throw;
-      } catch (const std::exception& e) {
-        send_error(e.what());
-      }
-      return true;
-    }
-    case net::MsgType::kTopK: {
-      // The router always answers FINAL mode: per-shard candidates are an
-      // internal protocol between ClusterClient and the backends, and a
-      // router-of-routers would need per-shard row offsets it doesn't
-      // have. req.mode is therefore ignored here.
-      net::TopKRequest req = net::decode_topk_request(&reader);
-      reader.expect_done();
-      try {
-        ann::TopKResult merged;
-        const auto start = std::chrono::steady_clock::now();
-        pool_->with_client([&](ClusterClient& cc) {
-          if (trace.sampled()) cc.set_trace(trace);
-          switch (req.kind) {
-            case net::kTopKKindId:
-              merged = cc.topk_id(req.id, req.k, req.nprobe, req.rerank);
-              break;
-            case net::kTopKKindWord:
-              merged = cc.topk_word(req.word, req.k, req.nprobe, req.rerank);
-              break;
-            default:
-              merged =
-                  cc.topk_vector(req.vector, req.k, req.nprobe, req.rerank);
-              break;
-          }
-        });
-        topk_total_->inc();
-        if (merged.flags & ann::kTopKFlagPartial) topk_partial_->inc();
-        topk_latency_->record(std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-        net::encode_topk_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kTopKReply, reply);
-      } catch (const net::NetError&) {
-        throw;
-      } catch (const std::exception& e) {
-        send_error(e.what());
-      }
-      return true;
-    }
-    case net::MsgType::kMetrics: {
-      reader.expect_done();
-      net::encode_metrics_report(metrics_.snapshot(), &reply);
-      net::write_frame(stream, net::MsgType::kMetricsReply, reply);
-      return true;
-    }
-    case net::MsgType::kStats: {
-      reader.expect_done();
-      const ClusterStatsReport agg =
-          pool_->with_client([](ClusterClient& cc) { return cc.stats(); });
-      net::encode_server_stats(agg.aggregate, &reply);
-      net::write_frame(stream, net::MsgType::kStatsReply, reply);
-      return true;
-    }
-    case net::MsgType::kHeat: {
-      reader.expect_done();
-      // Pure backend merge, lifted to global id space by the borrowed
-      // client: the reply is bit-identical to a client merging the
-      // backends' own HEAT replies itself (pinned by cluster_test). The
-      // router's own windowed/key-load view is deliberately NOT mixed in
-      // — it is exported via this process's Prometheus plane instead.
-      const net::HeatReport fleet =
-          pool_->with_client([](ClusterClient& cc) { return cc.heat(); });
-      net::encode_heat_report(fleet, &reply);
-      net::write_frame(stream, net::MsgType::kHeatReply, reply);
-      return true;
-    }
-    case net::MsgType::kPing: {
-      reader.expect_done();
-      net::write_frame(stream, net::MsgType::kPong, reply);
-      return true;
-    }
-    case net::MsgType::kShardMap: {
-      reader.expect_done();
-      reply.str(config_.map.serialize());
-      net::write_frame(stream, net::MsgType::kShardMapReply, reply);
-      return true;
-    }
-    case net::MsgType::kRolloutStart: {
-      const std::string candidate = reader.str();
-      const std::uint8_t mode = reader.u8();
-      const double fraction = reader.f64();
-      const double shadow_rate = reader.f64();
-      reader.expect_done();
-      const std::string error =
-          start_rollout(candidate, mode, fraction, shadow_rate);
-      if (!error.empty()) {
-        send_error(error);
-        return true;
-      }
-      net::encode_rollout_status(rollout_status(), &reply);
-      net::write_frame(stream, net::MsgType::kRolloutStartReply, reply);
-      return true;
-    }
-    case net::MsgType::kRolloutStatus: {
-      reader.expect_done();
-      net::encode_rollout_status(rollout_status(), &reply);
-      net::write_frame(stream, net::MsgType::kRolloutStatusReply, reply);
-      return true;
-    }
-    case net::MsgType::kRolloutAbort: {
-      // Drain byte optional, mirroring kCanaryAbort. The abort itself is
-      // observed by the rollout thread between shards / canary polls; the
-      // reply reports the state at this instant (poll for terminal).
-      const bool drain = reader.remaining() > 0 && reader.u8() != 0;
-      reader.expect_done();
-      (void)drain;  // the rollout thread always drains in-flight canaries
-      rollout_abort_.store(true, std::memory_order_release);
-      net::encode_rollout_status(rollout_status(), &reply);
-      net::write_frame(stream, net::MsgType::kRolloutAbortReply, reply);
-      return true;
-    }
-    case net::MsgType::kTryPromote: {
-      reader.str();
-      if (reader.remaining() > 0) reader.u8();  // optional force byte
-      reader.expect_done();
-      send_error(
-          "anchor_router does not serve single-shard promotes; use "
-          "ROLLOUT_START for a coordinated shard-by-shard rollout");
-      return true;
-    }
-    case net::MsgType::kCanaryStart:
-    case net::MsgType::kCanaryStatus:
-    case net::MsgType::kCanaryAbort: {
-      send_error(
+    WireWriter reply;
+    net::encode_rollout_status(rollout_status(), &reply);
+    net::write_frame(call.stream, MsgType::kRolloutStartReply, reply);
+    return true;
+  });
+  rpc_.handle(MsgType::kRolloutAbort, [this](RpcCall& call) {
+    // Drain byte optional, mirroring kCanaryAbort; the rollout thread
+    // always drains in-flight canaries. The abort itself is observed by
+    // the rollout thread between shards / canary polls; the reply reports
+    // the state at this instant (poll for terminal).
+    if (call.reader.remaining() > 0) call.reader.u8();
+    call.reader.expect_done();
+    rollout_abort_.store(true, std::memory_order_release);
+    WireWriter reply;
+    net::encode_rollout_status(rollout_status(), &reply);
+    net::write_frame(call.stream, MsgType::kRolloutAbortReply, reply);
+    return true;
+  });
+  rpc_.handle(MsgType::kTryPromote, [](RpcCall& call) {
+    call.reader.str();
+    if (call.reader.remaining() > 0) call.reader.u8();  // optional force byte
+    call.reader.expect_done();
+    net::reply_error(call.stream,
+                     "anchor_router does not serve single-shard promotes; "
+                     "use ROLLOUT_START for a coordinated shard-by-shard "
+                     "rollout");
+    return true;
+  });
+  for (const MsgType type : {MsgType::kCanaryStart, MsgType::kCanaryStatus,
+                             MsgType::kCanaryAbort}) {
+    rpc_.handle(type, [](RpcCall& call) {
+      net::reply_error(
+          call.stream,
           "canaries run per-shard behind the router; start one through "
           "ROLLOUT_START mode 1 (canary), or address a backend directly");
       return true;
-    }
-    case net::MsgType::kShutdown: {
-      reader.expect_done();
-      if (config_.forward_shutdown) pool_->shutdown_backends();
-      shutdown_requested_.store(true, std::memory_order_release);
-      stop_.store(true, std::memory_order_release);
-      net::write_frame(stream, net::MsgType::kShutdownReply, reply);
-      return false;
-    }
-    default: {
-      send_error("unknown request type " +
-                 std::to_string(static_cast<int>(type)));
-      return true;
-    }
+    });
   }
+  if (config_.forward_shutdown) {
+    rpc_.handle(MsgType::kShutdown, [this](RpcCall& call) {
+      call.reader.expect_done();
+      pool_->shutdown_backends();
+      return rpc_.shutdown(call);
+    });
+  }
+  rpc_.handle_query(MsgType::kMetrics, MsgType::kMetricsReply,
+                    [this](WireWriter& reply) {
+                      net::encode_metrics_report(metrics_.snapshot(), &reply);
+                    });
+  rpc_.handle_query(MsgType::kStats, MsgType::kStatsReply,
+                    [this](WireWriter& reply) {
+                      const ClusterStatsReport agg = pool_->with_client(
+                          [](ClusterClient& cc) { return cc.stats(); });
+                      net::encode_server_stats(agg.aggregate, &reply);
+                    });
+  // Pure backend merge, lifted to global id space by the borrowed client:
+  // the reply is bit-identical to a client merging the backends' own HEAT
+  // replies itself (pinned by cluster_test). The router's own windowed /
+  // key-load view is deliberately NOT mixed in — it is exported via this
+  // process's Prometheus plane instead.
+  rpc_.handle_query(MsgType::kHeat, MsgType::kHeatReply,
+                    [this](WireWriter& reply) {
+                      net::encode_heat_report(
+                          pool_->with_client(
+                              [](ClusterClient& cc) { return cc.heat(); }),
+                          &reply);
+                    });
+  rpc_.handle_query(MsgType::kShardMap, MsgType::kShardMapReply,
+                    [this](WireWriter& reply) {
+                      reply.str(config_.map.serialize());
+                    });
+  rpc_.handle_query(MsgType::kRolloutStatus, MsgType::kRolloutStatusReply,
+                    [this](WireWriter& reply) {
+                      net::encode_rollout_status(rollout_status(), &reply);
+                    });
 }
 
 // ---- rollout -----------------------------------------------------------
@@ -689,7 +494,7 @@ void Router::rollout_body(std::string candidate, std::uint8_t mode,
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (stop_.load(std::memory_order_acquire) ||
+    if (rpc_.stopping() ||
         rollout_abort_.load(std::memory_order_acquire)) {
       rollback_all();
       finish_rollout(net::RolloutState::kAborted, candidate,
@@ -813,7 +618,7 @@ bool Router::rollout_shard(std::size_t shard, const std::string& candidate,
     canary_started = st.state == serve::CanaryState::kRunning;
     while (!canary_terminal(st.state) &&
            st.state != serve::CanaryState::kNone) {
-      if (stop_.load(std::memory_order_acquire) ||
+      if (rpc_.stopping() ||
           rollout_abort_.load(std::memory_order_acquire)) {
         st = client.canary_abort(/*drain=*/true);
         *detail = "canary aborted by rollout abort; " + st.online.summary();

@@ -1,6 +1,9 @@
 // Stateless shard-routing front-end: one TCP server speaking the standard
 // wire protocol to unmodified net::Clients, fanned out over N
-// anchor_served backends by a ShardMap.
+// anchor_served backends by a ShardMap. Connections are accepted and
+// served by the RPC core anchor_served also runs (net/rpc_server.hpp):
+// one handler thread per client connection; this class registers one
+// handler per request type.
 //
 // Data plane: all connection handlers share one round-robin POOL of
 // mutex-guarded ClusterClients (cluster/client_pool.hpp), so backend
@@ -37,7 +40,7 @@
 #include "cluster/client_pool.hpp"
 #include "cluster/cluster_client.hpp"
 #include "cluster/shard_map.hpp"
-#include "net/socket.hpp"
+#include "net/rpc_server.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,15 +98,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return rpc_.port(); }
 
-  void run();    // serve on the calling thread until stop()
   void start();  // serve on a background thread
   void stop();   // idempotent; joins every thread
 
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return rpc_.shutdown_requested(); }
 
   const ShardMap& map() const { return config_.map; }
   const ClusterHealth& health() const { return *health_; }
@@ -121,16 +121,8 @@ class Router {
   obs::MetricsRegistry& metrics_registry() { return metrics_; }
 
  private:
-  void accept_loop();
   void probe_loop();
-  void handle_connection(net::TcpStream stream);
-  /// `trace` is the request frame's trace context (invalid when
-  /// untraced): lookups hand it to the borrowed ClusterClient so the
-  /// scatter / per-shard RTT / merge spans and the backends' frames join
-  /// the trace.
-  bool dispatch(net::TcpStream& stream, net::MsgType type,
-                const std::vector<std::uint8_t>& payload,
-                const obs::TraceContext& trace);
+  void register_handlers();
   void register_metrics();
 
   /// Starts the rollout thread; returns a non-empty error when one is
@@ -165,11 +157,11 @@ class Router {
   std::unique_ptr<obs::KeyLoadRecorder> load_;
   obs::SloMonitor slo_;
   std::unique_ptr<ClusterClientPool> pool_;
-  net::TcpListener listener_;
+  /// Declared before rpc_, which counts request frames into it.
   obs::MetricsRegistry metrics_;
+  net::RpcServer rpc_;
   /// Owned hot-path metrics (registry references are stable for its
   /// lifetime; handlers update them lock-free).
-  obs::Counter* requests_total_ = nullptr;
   obs::Counter* lookups_total_ = nullptr;
   obs::Counter* degraded_total_ = nullptr;
   obs::LogHistogram* lookup_latency_ = nullptr;
@@ -177,19 +169,7 @@ class Router {
   obs::Counter* topk_partial_ = nullptr;
   obs::LogHistogram* topk_latency_ = nullptr;
 
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> shutdown_requested_{false};
-  std::atomic<bool> accept_running_{false};
-  std::thread accept_thread_;
   std::thread probe_thread_;
-
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  void reap_connections(bool all);
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
 
   /// Rollout state machine, mutex-guarded (control-plane-rare). The
   /// report is the single source of truth ROLLOUT_STATUS serializes.

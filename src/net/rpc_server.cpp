@@ -1,0 +1,180 @@
+#include "net/rpc_server.hpp"
+
+#include <chrono>
+#include <iostream>
+#include <utility>
+
+namespace anchor::net {
+
+namespace {
+
+/// Pause after a failed accept. Retrying at once would spin when the
+/// failure repeats; this retries 100 times a second.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+}  // namespace
+
+void reply_error(TcpStream& stream, const std::string& message) {
+  WireWriter err;
+  err.str(message);
+  write_frame(stream, MsgType::kError, err);
+}
+
+RpcServer::RpcServer(std::uint16_t port, int poll_interval_ms,
+                     int io_timeout_ms, obs::TraceStage recv_stage,
+                     obs::Counter* frames)
+    : poll_interval_ms_(poll_interval_ms),
+      io_timeout_ms_(io_timeout_ms),
+      recv_stage_(recv_stage),
+      frames_(frames),
+      listener_(TcpListener::bind_loopback(port)) {
+  handle_query(MsgType::kPing, MsgType::kPong, [](WireWriter&) {});
+  handle(MsgType::kShutdown, [this](RpcCall& call) { return shutdown(call); });
+}
+
+RpcServer::~RpcServer() { stop(); }
+
+void RpcServer::handle(MsgType type, Handler handler) {
+  handlers_[static_cast<std::uint8_t>(type)] = std::move(handler);
+}
+
+void RpcServer::handle_query(MsgType type, MsgType reply_type,
+                             std::function<void(WireWriter& reply)> encode) {
+  handle(type, [reply_type, encode = std::move(encode)](RpcCall& call) {
+    call.reader.expect_done();
+    WireWriter reply;
+    encode(reply);
+    write_frame(call.stream, reply_type, reply);
+    return true;
+  });
+}
+
+void RpcServer::start() {
+  accept_thread_ = std::thread([this] { accept_loop(); });
+}
+
+bool RpcServer::shutdown(RpcCall& call) {
+  call.reader.expect_done();
+  // Flags first, reply second: a client that received the reply must
+  // observe shutdown_requested() as true.
+  shutdown_requested_.store(true, std::memory_order_release);
+  stop_.store(true, std::memory_order_release);
+  write_frame(call.stream, MsgType::kShutdownReply, WireWriter{});
+  return false;  // this connection closes; stop() joins the others
+}
+
+void RpcServer::stop() {
+  stop_.store(true, std::memory_order_release);
+  // Joining the accept thread first means no connection is pushed after
+  // the final reap and the listener is never closed mid-accept.
+  if (accept_thread_.joinable()) accept_thread_.join();
+  reap_connections(/*all=*/true);
+  listener_.close();
+}
+
+void RpcServer::reap_connections(bool all) {
+  std::vector<std::unique_ptr<Connection>> to_join;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    if (all) {
+      to_join.swap(connections_);
+    } else {
+      for (std::size_t i = 0; i < connections_.size();) {
+        if (connections_[i]->done.load(std::memory_order_acquire)) {
+          to_join.push_back(std::move(connections_[i]));
+          connections_[i] = std::move(connections_.back());
+          connections_.pop_back();
+        } else {
+          ++i;
+        }
+      }
+    }
+  }
+  for (auto& conn : to_join) conn->thread.join();
+}
+
+void RpcServer::accept_loop() {
+  bool failing = false;  // logs once per run of failures, not per retry
+  while (!stop_.load(std::memory_order_acquire)) {
+    reap_connections(/*all=*/false);
+    try {
+      TcpStream conn = listener_.accept(poll_interval_ms_);
+      if (!conn.valid()) continue;  // poll timeout — recheck stop flag
+      auto connection = std::make_unique<Connection>();
+      Connection* raw = connection.get();
+      // When no thread can be made, std::system_error unwinds the lambda
+      // and its stream: that one connection is closed unanswered.
+      raw->thread =
+          std::thread([this, raw, stream = std::move(conn)]() mutable {
+            serve_connection(std::move(stream));
+            raw->done.store(true, std::memory_order_release);
+          });
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      connections_.push_back(std::move(connection));
+      failing = false;
+    } catch (const std::exception& e) {
+      // NetError from accept or std::system_error from std::thread.
+      // (Running out of descriptors is not an error here: accept()
+      // pauses and returns no connection, see TcpListener::accept.)
+      if (!failing) {
+        std::cerr << "port " << port() << ": " << e.what()
+                  << "; retrying every " << kAcceptBackoff.count()
+                  << " ms\n";
+      }
+      failing = true;
+      std::this_thread::sleep_for(kAcceptBackoff);
+    }
+  }
+}
+
+void RpcServer::serve_connection(TcpStream stream) {
+  stream.set_io_timeout(io_timeout_ms_);
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  obs::TraceContext trace;
+  try {
+    while (!stop_.load(std::memory_order_acquire)) {
+      // Poll so a stop issued while the client is idle is honored within
+      // one interval instead of blocking in recv forever.
+      if (!stream.wait_readable(poll_interval_ms_)) continue;
+      if (!read_frame(stream, &type, &payload, &trace)) break;  // went away
+      const std::uint64_t recv_ns =
+          trace.sampled() ? obs::Tracer::now_ns() : 0;
+      if (frames_ != nullptr) frames_->inc();
+      WireReader reader(payload);
+      RpcCall call{stream, reader, trace};
+      const Handler& handler = handlers_[static_cast<std::uint8_t>(type)];
+      bool keep = true;
+      try {
+        if (handler) {
+          keep = handler(call);
+        } else {
+          reply_error(stream, "unknown request type " +
+                                  std::to_string(static_cast<int>(type)));
+        }
+      } catch (const NetError&) {
+        throw;
+      } catch (const std::exception& e) {
+        if (!reader.decoded()) throw;  // malformed request: close
+        reply_error(stream, e.what());  // serving failure: answer it
+      }
+      if (trace.sampled()) {
+        obs::Tracer::instance().record(trace, recv_stage_, recv_ns,
+                                       obs::Tracer::now_ns());
+      }
+      if (!keep) break;
+    }
+  } catch (const WireError&) {
+    // Malformed framing or payload: the stream position is unrecoverable,
+    // so close without a reply (an error frame could land mid-garbage
+    // anyway).
+  } catch (const NetError&) {
+    // Peer reset, vanished or stalled mid-message; nothing left to answer.
+  } catch (const std::exception& e) {
+    // A handler bug; close this connection rather than the daemon.
+    std::cerr << "port " << port() << ": closing a connection: " << e.what()
+              << "\n";
+  }
+}
+
+}  // namespace anchor::net

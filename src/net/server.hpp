@@ -2,8 +2,9 @@
 // drives the async batcher, so out-of-process consumers get gated,
 // versioned embeddings over the wire.
 //
-// Topology: one accept thread + one handler thread per connection. Each
-// handler parses frames and blocks on the batcher future for lookups —
+// Topology: the shared RPC core (net/rpc_server.hpp) runs one accept
+// thread and one handler thread per connection; this class registers one
+// handler per request type. Lookup handlers block on the batcher future —
 // which is exactly what makes the design scale on the serving side:
 // concurrent connections' single-key requests coalesce into shared
 // batches inside AsyncLookupService instead of each paying the full
@@ -11,7 +12,7 @@
 // execute on the handler thread directly.
 //
 // The server binds in the constructor (so an ephemeral port is known
-// immediately), but serves only once run() or start() is called. stop()
+// immediately), but serves only once start() is called. stop()
 // is idempotent and safe from any thread; a kShutdown frame from a client
 // also stops the accept loop, which is how the daemon supports remote
 // shutdown for scripted smoke tests.
@@ -22,11 +23,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ann/ann_service.hpp"
 #include "net/fault.hpp"
+#include "net/rpc_server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/drift_probe.hpp"
@@ -113,12 +114,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return rpc_.port(); }
 
-  /// Serves on the calling thread until stop() is called from elsewhere or
-  /// a client sends kShutdown. Handler threads are joined by stop()/dtor.
-  void run();
-  /// Serves on a background thread; returns immediately.
+  /// Serves on a background thread until stop() or a client's kShutdown;
+  /// returns immediately. Handler threads are joined by stop()/dtor.
   void start();
   /// Stops accepting, closes the listener, and joins every thread. Safe to
   /// call multiple times and from any thread (except a handler's own).
@@ -126,9 +125,7 @@ class Server {
 
   /// True once a client's kShutdown was honored — the daemon's main loop
   /// watches this.
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return rpc_.shutdown_requested(); }
 
   const serve::LookupService& service() const { return service_; }
   serve::AsyncLookupService& async() { return async_; }
@@ -156,20 +153,18 @@ class Server {
   HeatReport heat_report();
 
  private:
-  void accept_loop();
-  void handle_connection(TcpStream stream);
-  /// Dispatches one request frame; returns false when the connection
-  /// should close (shutdown honored). `trace` is the frame's trace
-  /// context (invalid for untraced requests): traced lookups take the
-  /// batcher's traced general path so their spans are recorded.
-  bool dispatch(TcpStream& stream, MsgType type,
-                const std::vector<std::uint8_t>& payload,
-                const obs::TraceContext& trace);
+  void register_handlers();
   /// Writes a data-plane (lookup) reply through the fault injector;
   /// returns false when the injected fault closed the connection. Control
   /// replies bypass this — chaos must not blind the chaos orchestrator.
   bool send_data_reply(TcpStream& stream, MsgType type,
                        const WireWriter& reply);
+  /// TRY_PROMOTE: the gated (or, with `force`, ungated) swap to
+  /// `candidate`, refused while a canary runs.
+  serve::GateReport try_promote(const std::string& candidate, bool force);
+  /// CANARY_START: offline gate, then an online canary when it admits.
+  CanaryStatusReport start_canary(const std::string& candidate,
+                                  double fraction, double shadow_rate);
   void register_metrics();
 
   serve::EmbeddingStore& store_;
@@ -190,7 +185,7 @@ class Server {
   serve::LookupService service_;
   serve::AsyncLookupService async_;
   serve::DeploymentGate gate_;
-  TcpListener listener_;
+  RpcServer rpc_;
   obs::MetricsRegistry metrics_;
   /// Declared after metrics_ so its background thread (stopped in stop(),
   /// but belt-and-braces for destruction order) dies before the gauges it
@@ -204,15 +199,6 @@ class Server {
   obs::LogHistogram topk_latency_us_;
   obs::LogHistogram topk_cells_probed_;
   obs::LogHistogram topk_shortlist_;
-
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};  // set by the handler as it exits
-  };
-  /// Joins and drops finished handlers (every accept-loop iteration), so
-  /// a long-running daemon does not retain one dead thread per
-  /// connection ever served. stop() joins the rest unconditionally.
-  void reap_connections(bool all);
 
   /// The canary-routed data plane: nullptr or inactive → the plain async
   /// path. The pointer is swapped under canary_mu_ by the control plane;
@@ -228,15 +214,6 @@ class Server {
   std::shared_ptr<serve::CanaryRouter> canary_;
   /// Status of a phase-1-rejected canary (no router to ask).
   CanaryStatusReport last_canary_status_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> shutdown_requested_{false};
-  /// True while accept_loop() is executing — run() callers have no
-  /// thread for stop() to join, so stop() waits on this flag before
-  /// closing the listener out from under the loop.
-  std::atomic<bool> accept_running_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace anchor::net

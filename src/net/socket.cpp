@@ -7,8 +7,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 namespace anchor::net {
@@ -201,6 +204,17 @@ TcpStream TcpListener::accept(int timeout_ms) {
     const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // The connection stays in the backlog, so poll would report it
+        // ready again at once: pause instead of spinning, and let the
+        // caller retry once a descriptor or buffer frees up.
+        constexpr int kExhaustedPauseMs = 10;
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            timeout_ms < 0 ? kExhaustedPauseMs
+                           : std::min(timeout_ms, kExhaustedPauseMs)));
+        return TcpStream(-1);
+      }
       throw_errno("accept");
     }
     set_nodelay(conn);

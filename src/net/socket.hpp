@@ -80,7 +80,10 @@ class TcpListener {
   /// Accepts one connection, waiting at most `timeout_ms` (-1 = forever).
   /// Returns an invalid stream on timeout; throws NetError on failure.
   /// The accept loop polls with a finite timeout so a stop flag set by
-  /// another thread is observed promptly.
+  /// another thread is observed promptly. Running out of descriptors or
+  /// socket memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) is not a failure:
+  /// the connection stays queued, and the call pauses up to 10 ms and
+  /// returns an invalid stream, as on a timeout.
   TcpStream accept(int timeout_ms);
 
   void close();

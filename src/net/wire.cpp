@@ -82,6 +82,32 @@ bool read_frame(TcpStream& stream, MsgType* type,
   return true;
 }
 
+// ---- lookup requests ---------------------------------------------------
+
+std::vector<std::size_t> decode_lookup_ids(WireReader* r) {
+  const std::uint32_t n = r->u32();
+  // Each id occupies 8 payload bytes.
+  if (n > r->remaining() / sizeof(std::uint64_t)) {
+    throw WireError("id count exceeds payload");
+  }
+  std::vector<std::size_t> ids(n);
+  for (auto& id : ids) id = static_cast<std::size_t>(r->u64());
+  r->expect_done();
+  return ids;
+}
+
+std::vector<std::string> decode_lookup_words(WireReader* r) {
+  const std::uint32_t n = r->u32();
+  // Every word carries at least its 4-byte length prefix.
+  if (n > r->remaining() / sizeof(std::uint32_t)) {
+    throw WireError("word count exceeds payload");
+  }
+  std::vector<std::string> words(n);
+  for (auto& word : words) word = r->str();
+  r->expect_done();
+  return words;
+}
+
 // ---- LookupResult ------------------------------------------------------
 
 void encode_lookup_result_slice(const serve::LookupResult& result,

@@ -195,12 +195,15 @@ class WireReader {
   std::size_t remaining() const { return size_ - pos_; }
   /// Call after decoding a payload: trailing bytes mean the peer and we
   /// disagree about the layout, which should fail loudly, not silently.
-  void expect_done() const {
+  void expect_done() {
     if (pos_ != size_) {
       throw WireError("trailing bytes in payload: " +
                       std::to_string(size_ - pos_));
     }
+    decoded_ = true;
   }
+  /// True once expect_done() passed: the whole payload decoded.
+  bool decoded() const { return decoded_; }
 
  private:
   void need(std::size_t n) const {
@@ -218,6 +221,7 @@ class WireReader {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  bool decoded_ = false;
 };
 
 // ---- frame I/O ---------------------------------------------------------
@@ -245,6 +249,11 @@ bool read_frame(TcpStream& stream, MsgType* type,
                 obs::TraceContext* trace = nullptr);
 
 // ---- payload codecs (shared by Client and Server) ----------------------
+
+/// LOOKUP_IDS / LOOKUP_WORDS request payloads, read to the end. A count the
+/// payload cannot hold throws WireError before anything is allocated.
+std::vector<std::size_t> decode_lookup_ids(WireReader* r);
+std::vector<std::string> decode_lookup_words(WireReader* r);
 
 void encode_lookup_result(const serve::LookupResult& result, WireWriter* w);
 /// Encodes rows [first, first+count) of `result` in the same layout —

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdlib>
 
@@ -141,12 +143,31 @@ std::size_t default_threads() {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
+/// A forked child's copy of the parent's pool. fork() copies only the
+/// calling thread, so its workers stayed behind: jobs queued on it would
+/// never run, and its destructor would join threads that do not exist. It
+/// is kept reachable, not destroyed, so the leak checker does not count it.
+ThreadPool* g_forked_pool = nullptr;
+
+// Holding g_pool_mu across fork() keeps the child from inheriting it locked
+// by another thread; the child then builds a fresh pool on first use.
+// Called with g_pool_mu held.
+std::unique_ptr<ThreadPool> make_pool(std::size_t threads) {
+  static const int registered = ::pthread_atfork(
+      [] { g_pool_mu.lock(); }, [] { g_pool_mu.unlock(); },
+      [] {
+        g_pool_mu.unlock();
+        g_forked_pool = g_pool.release();
+      });
+  (void)registered;
+  return std::make_unique<ThreadPool>(threads);
+}
 
 }  // namespace
 
 ThreadPool& global_pool() {
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (!g_pool) g_pool = std::make_unique<ThreadPool>(default_threads());
+  if (!g_pool) g_pool = make_pool(default_threads());
   return *g_pool;
 }
 
@@ -154,7 +175,7 @@ std::size_t global_pool_threads() { return global_pool().size(); }
 
 void set_global_pool_threads(std::size_t n) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  g_pool = std::make_unique<ThreadPool>(n == 0 ? default_threads() : n);
+  g_pool = make_pool(n == 0 ? default_threads() : n);
 }
 
 }  // namespace anchor::util

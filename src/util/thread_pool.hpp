@@ -77,6 +77,8 @@ class ThreadPool {
 
 /// The process-wide pool. First use constructs it with ANCHOR_THREADS
 /// workers when the variable is set and positive, else hardware concurrency.
+/// A fork()ed child does not inherit the parent's pool (its workers stay
+/// behind in the parent); the child's first use builds its own.
 ThreadPool& global_pool();
 
 /// Number of workers in the global pool (constructing it on first use).

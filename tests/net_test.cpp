@@ -2,9 +2,15 @@
 // client/server loopback exercising every RPC — real TCP sockets on
 // 127.0.0.1, with the server's accept loop and batcher running on their
 // own threads.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -1125,6 +1131,80 @@ TEST_F(RpcTest, UnknownRequestTypeAnswersError) {
   std::vector<std::uint8_t> payload;
   ASSERT_TRUE(read_frame(raw, &type, &payload));
   EXPECT_EQ(type, MsgType::kError);
+}
+
+TEST_F(RpcTest, OversizedLookupIsRefusedAndTheConnectionKept) {
+  // Well-formed, but 600k rows of dim 32 would make a ~77 MB reply, past
+  // the frame cap: refused with an error frame before any lookup runs.
+  TcpStream raw = TcpStream::connect("127.0.0.1", server_->port());
+  constexpr std::uint32_t kKeys = 600'000;
+  WireWriter request;
+  request.u32(kKeys);
+  for (std::uint32_t i = 0; i < kKeys; ++i) request.u64(i % 600);
+  write_frame(raw, MsgType::kLookupIds, request);
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(raw, &type, &payload));
+  ASSERT_EQ(type, MsgType::kError);
+  WireReader reader(payload);
+  EXPECT_NE(reader.str().find("frame cap"), std::string::npos);
+  // The same connection still serves.
+  write_frame(raw, MsgType::kPing, WireWriter{});
+  ASSERT_TRUE(read_frame(raw, &type, &payload));
+  EXPECT_EQ(type, MsgType::kPong);
+}
+
+TEST_F(RpcTest, AcceptLoopSurvivesDescriptorExhaustion) {
+  // The flood's sockets are made while descriptors are plentiful:
+  // connecting them needs no new descriptor here, but accepting each one
+  // needs one on the server's side.
+  constexpr int kFlood = 32;
+  std::vector<int> flood;
+  for (int i = 0; i < kFlood; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    flood.push_back(fd);
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(
+      *std::max_element(flood.begin(), flood.end()) + 1);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  // Take every free slot under the lowered limit: the server's accept()
+  // now fails with EMFILE while the flood waits in its backlog.
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(flood[0])) >= 0;) fillers.push_back(fd);
+  const int dup_errno = errno;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  int connected = 0;
+  for (const int fd : flood) {
+    connected += ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  const auto cpu_ms = [] {
+    rusage u{};
+    ::getrusage(RUSAGE_SELF, &u);
+    return (u.ru_utime.tv_sec + u.ru_stime.tv_sec) * 1e3 +
+           (u.ru_utime.tv_usec + u.ru_stime.tv_usec) / 1e3;
+  };
+  const double cpu0 = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double spent = cpu_ms() - cpu0;
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  for (const int fd : flood) ::close(fd);
+  EXPECT_EQ(dup_errno, EMFILE);
+  EXPECT_EQ(connected, kFlood);
+  // A retry loop without back-off would burn a whole core for the window.
+  EXPECT_LT(spent, 250.0);
+  // Descriptors are back: the server accepts and serves again.
+  Client client("127.0.0.1", server_->port());
+  client.ping();
+  EXPECT_EQ(client.lookup_id(3).size(), 1u);
 }
 
 TEST_F(RpcTest, FuzzedFramesNeverKillTheServer) {

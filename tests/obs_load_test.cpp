@@ -15,6 +15,7 @@
 #include "embed/embedding.hpp"
 #include "obs/drift_probe.hpp"
 #include "obs/heavy_hitters.hpp"
+#include "obs/load_plane.hpp"
 #include "obs/metrics.hpp"
 #include "obs/windowed.hpp"
 #include "serve/serve.hpp"
@@ -404,6 +405,56 @@ TEST(KeyLoad, RecorderFeedsBothSketchAndHeat) {
   EXPECT_EQ(s.entries[0].count, 3u);
   EXPECT_EQ(rec.heat.snapshot().total, 4u);
   EXPECT_EQ(rec.heat.snapshot().range_total(3), 4u);
+}
+
+// ---- load-plane export -------------------------------------------------
+
+TEST(LoadPlane, ExportsPrefixedSeriesAndZeroesAStaleTopKeyRank) {
+  EXPECT_EQ(make_key_load_recorder(/*capacity=*/0, 64, 8), nullptr);
+  const auto load = make_key_load_recorder(/*capacity=*/16, 64, 8);
+  ASSERT_NE(load, nullptr);
+  WindowedStats windowed;
+  const SloMonitor slo;
+  MetricsRegistry reg;
+  export_load_plane(reg, "x_", windowed, slo, load.get());
+  windowed.record(100.0, /*error=*/false);
+  for (int i = 0; i < 3; ++i) load->record(7);
+
+  const auto find = [](const MetricsReport& r,
+                       const std::string& name) -> const MetricValue* {
+    for (const MetricValue& m : r.metrics) {
+      if (m.name == name) return &m;
+    }
+    return nullptr;
+  };
+  const MetricsReport first = reg.snapshot();
+  for (const char* name :
+       {"x_window_qps_10s", "x_window_qps_1m", "x_window_error_rate_1m",
+        "x_window_p99_us_1m", "x_slo_burn_short", "x_slo_burn_long",
+        "x_slo_alert_state", "x_key_load_records_total",
+        "x_heat_bucket_total{bucket=\"0\"}", "x_heat_buckets_populated"}) {
+    EXPECT_NE(find(first, name), nullptr) << name;
+  }
+  const MetricValue* hot = find(first, "x_top_key_count{rank=\"0\",id=\"7\"}");
+  ASSERT_NE(hot, nullptr);
+  EXPECT_EQ(hot->gauge, 3.0);
+
+  // Id 9 overtakes id 7 at rank 0: id 7's rank-0 series must read 0 rather
+  // than keep claiming the rank.
+  for (int i = 0; i < 5; ++i) load->record(9);
+  const MetricsReport second = reg.snapshot();
+  const MetricValue* top = find(second, "x_top_key_count{rank=\"0\",id=\"9\"}");
+  const MetricValue* stale =
+      find(second, "x_top_key_count{rank=\"0\",id=\"7\"}");
+  const MetricValue* moved =
+      find(second, "x_top_key_count{rank=\"1\",id=\"7\"}");
+  ASSERT_NE(top, nullptr);
+  ASSERT_NE(stale, nullptr);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(top->gauge, 5.0);
+  EXPECT_EQ(stale->gauge, 0.0);
+  EXPECT_EQ(moved->gauge, 3.0);
+  EXPECT_EQ(find(second, "x_key_load_records_total")->counter, 8u);
 }
 
 // ---- DriftProbe --------------------------------------------------------

@@ -2,6 +2,8 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <numeric>
@@ -115,6 +117,27 @@ TEST(ThreadPool, GlobalPoolResizes) {
   EXPECT_EQ(util::global_pool_threads(), 3u);
   util::set_global_pool_threads(0);  // back to default sizing
   EXPECT_GE(util::global_pool_threads(), 1u);
+}
+
+TEST(ThreadPool, ForkedChildGetsAWorkingGlobalPool) {
+  // fork() copies only the calling thread: a child that queued work on the
+  // parent's pool object would wait forever on workers it does not have.
+  util::set_global_pool_threads(4);
+  ASSERT_EQ(util::global_pool().submit([] { return 1; }).get(), 1);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(10);  // a hang dies by SIGALRM instead of wedging the suite
+    const int got = util::global_pool().submit([] { return 7; }).get();
+    ::_exit(got == 7 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                                         : 0);
+  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 0);
+  util::set_global_pool_threads(0);
 }
 
 }  // namespace

@@ -1155,18 +1155,27 @@ void ClusterClient::shutdown_backends() {
   }
 }
 
-bool ClusterClient::probe(const std::string& host, std::uint16_t port,
-                          int timeout_ms) {
+ClusterClient::ProbeResult ClusterClient::probe(const std::string& host,
+                                                std::uint16_t port,
+                                                int timeout_ms) {
   try {
-    net::TcpStream s = net::TcpStream::connect(host, port);
+    // try_connect hands back the errno that tells a local failure from a
+    // refusing backend.
+    int err = 0;
+    net::TcpStream s = net::TcpStream::try_connect(host, port, &err);
+    if (!s.valid()) {
+      return net::is_resource_exhaustion(err) ? ProbeResult::kUnknown
+                                              : ProbeResult::kDown;
+    }
     s.set_io_timeout(timeout_ms);
     net::write_frame(s, net::MsgType::kPing, net::WireWriter());
     net::MsgType type{};
     std::vector<std::uint8_t> payload;
-    return net::read_frame(s, &type, &payload) &&
-           type == net::MsgType::kPong;
+    return net::read_frame(s, &type, &payload) && type == net::MsgType::kPong
+               ? ProbeResult::kUp
+               : ProbeResult::kDown;
   } catch (const std::exception&) {
-    return false;
+    return ProbeResult::kDown;
   }
 }
 

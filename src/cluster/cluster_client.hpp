@@ -285,10 +285,13 @@ class ClusterClient {
     return counters_;
   }
 
-  /// One fresh-connection ping probe (the router's health loop): true iff
-  /// host:port accepts, answers kPong within timeout_ms.
-  static bool probe(const std::string& host, std::uint16_t port,
-                    int timeout_ms);
+  /// One fresh-connection ping probe (the router's health loop): kUp iff
+  /// host:port accepts, answers kPong within timeout_ms. kUnknown when this
+  /// process could not open the connection for want of descriptors or
+  /// buffers, which is no verdict on the backend.
+  enum class ProbeResult { kDown, kUp, kUnknown };
+  static ProbeResult probe(const std::string& host, std::uint16_t port,
+                           int timeout_ms);
 
  private:
   /// Per-shard slice of one scatter-gather lookup.

@@ -177,9 +177,13 @@ void Router::probe_loop() {
       for (std::size_t rep = 0; rep < spec.num_replicas(); ++rep) {
         if (rpc_.stopping()) return;
         const Endpoint& ep = spec.replica(rep);
-        health_->mark(b, rep,
-                      ClusterClient::probe(ep.host, ep.port,
-                                           config_.backend_io_timeout_ms));
+        const auto result = ClusterClient::probe(
+            ep.host, ep.port, config_.backend_io_timeout_ms);
+        // kUnknown: the router is out of descriptors, not the replica out
+        // of service; its health stays as it was.
+        if (result != ClusterClient::ProbeResult::kUnknown) {
+          health_->mark(b, rep, result == ClusterClient::ProbeResult::kUp);
+        }
       }
     }
     // Stop-responsive sleep between sweeps.

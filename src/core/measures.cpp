@@ -5,6 +5,7 @@
 #include <numeric>
 #include <unordered_set>
 
+#include "la/eigen.hpp"
 #include "la/kernels.hpp"
 #include "la/procrustes.hpp"
 #include "util/rng.hpp"
@@ -14,14 +15,15 @@ namespace anchor::core {
 
 namespace {
 
-/// Indices of the k most cosine-similar rows to `query` (self excluded).
-/// `sims` is caller-provided scratch of size n (reused across queries).
-std::vector<std::size_t> top_k_neighbors(const la::Matrix& normalized,
-                                         std::size_t query, std::size_t k,
-                                         std::vector<double>& sims) {
-  const std::size_t n = normalized.rows();
-  la::kernels::matvec_rowmajor(normalized.data(), n, normalized.cols(),
-                               normalized.row(query), sims.data());
+/// Queries scored per similarity panel: one gemm_nt of a panel's query
+/// rows against the whole vocabulary streams the matrix once per panel
+/// instead of once per query.
+constexpr std::size_t kKnnPanel = 16;
+
+/// Indices of the k largest entries of one similarity row `sims` (length
+/// n), excluding `query` itself. Overwrites sims[query].
+std::vector<std::size_t> top_k_neighbors(double* sims, std::size_t n,
+                                         std::size_t query, std::size_t k) {
   sims[query] = -2.0;  // exclude self
 
   std::vector<std::size_t> idx(n);
@@ -35,6 +37,23 @@ std::vector<std::size_t> top_k_neighbors(const la::Matrix& normalized,
                     });
   idx.resize(kk);
   return idx;
+}
+
+/// Cosine similarities of the `count` queries starting at `first` against
+/// every row of `normalized`: a count × n panel, row-major.
+std::vector<double> similarity_panel(const la::Matrix& normalized,
+                                     const std::size_t* first,
+                                     std::size_t count) {
+  const std::size_t n = normalized.rows();
+  const std::size_t d = normalized.cols();
+  std::vector<double> rows(count * d);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::copy_n(normalized.row(first[i]), d, rows.data() + i * d);
+  }
+  std::vector<double> sims(count * n);
+  la::kernels::gemm_nt(rows.data(), count, normalized.data(), n, d,
+                       sims.data());
+  return sims;
 }
 
 }  // namespace
@@ -63,20 +82,27 @@ double knn_measure_normalized(const la::Matrix& nx, const la::Matrix& nxt,
   rng.shuffle(queries);
   queries.resize(std::min(num_queries, n));
 
-  // Queries are scored in parallel; each writes only its own overlap slot
-  // and the reduction below runs in fixed query order, so the value is
-  // independent of the pool size.
+  // Queries are scored in fixed panels of kKnnPanel consecutive sample
+  // slots, in parallel; each panel writes only its own overlap slots and the
+  // reduction below runs in fixed query order, so the value is independent
+  // of the pool size.
   std::vector<double> overlaps(queries.size(), 0.0);
-  util::global_pool().parallel_for(0, queries.size(), [&](std::size_t qi) {
-    thread_local std::vector<double> sims;
-    if (sims.size() < n) sims.resize(n);
-    const std::size_t q = queries[qi];
-    const auto a = top_k_neighbors(nx, q, k, sims);
-    const auto b = top_k_neighbors(nxt, q, k, sims);
-    const std::unordered_set<std::size_t> sa(a.begin(), a.end());
-    std::size_t hits = 0;
-    for (const std::size_t w : b) hits += sa.count(w);
-    overlaps[qi] = static_cast<double>(hits) / static_cast<double>(a.size());
+  const std::size_t panels = (queries.size() + kKnnPanel - 1) / kKnnPanel;
+  util::global_pool().parallel_for(0, panels, [&](std::size_t p) {
+    const std::size_t lo = p * kKnnPanel;
+    const std::size_t count = std::min(kKnnPanel, queries.size() - lo);
+    std::vector<double> sims_x = similarity_panel(nx, &queries[lo], count);
+    std::vector<double> sims_xt = similarity_panel(nxt, &queries[lo], count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t q = queries[lo + i];
+      const auto a = top_k_neighbors(sims_x.data() + i * n, n, q, k);
+      const auto b = top_k_neighbors(sims_xt.data() + i * n, n, q, k);
+      const std::unordered_set<std::size_t> sa(a.begin(), a.end());
+      std::size_t hits = 0;
+      for (const std::size_t w : b) hits += sa.count(w);
+      overlaps[lo + i] =
+          static_cast<double>(hits) / static_cast<double>(a.size());
+    }
   });
   double overlap_sum = 0.0;
   for (const double o : overlaps) overlap_sum += o;
@@ -205,6 +231,84 @@ double eigenspace_instability_of(const la::Matrix& x,
                                  const EisContext& ctx) {
   return eigenspace_instability(la::left_singular_vectors(x),
                                 la::left_singular_vectors(x_tilde), ctx);
+}
+
+namespace {
+
+/// G = XᵀX = W·S²·Wᵀ cut to range(X): all of W's columns, descending, and
+/// the r singular values of X above SvdResult::rank()'s relative cutoff,
+/// which pair with W's first r columns.
+struct GramFactor {
+  la::Matrix w;
+  std::vector<double> s;
+};
+
+GramFactor factor_gram(const la::Matrix& g) {
+  la::EigenResult eig = la::eigen_symmetric(g);
+  la::SvdResult f;
+  f.singular_values.reserve(eig.values.size());
+  for (const double lambda : eig.values) {
+    f.singular_values.push_back(std::sqrt(std::max(0.0, lambda)));
+  }
+  f.singular_values.resize(f.rank());
+  return {std::move(eig.vectors), std::move(f.singular_values)};
+}
+
+}  // namespace
+
+double eigenspace_instability_self(const la::Matrix& x,
+                                   const la::Matrix& x_tilde, double alpha) {
+  ANCHOR_CHECK_EQ(x.rows(), x_tilde.rows());
+  const la::Matrix g = la::gram(x);
+  const la::Matrix g_tilde = la::gram(x_tilde);
+  const la::Matrix cross = la::matmul_at_b(x, x_tilde);  // XᵀX̃, d×k
+
+  // The two eigensolves are serial and independent: overlap them, unless
+  // already on a pool worker, where submit-and-get could block a slot on a
+  // task queued behind it. Either way each runs alone on its input, so the
+  // result does not depend on which thread ran it.
+  GramFactor f;
+  GramFactor ft;
+  if (util::ThreadPool::on_worker_thread()) {
+    f = factor_gram(g);
+    ft = factor_gram(g_tilde);
+  } else {
+    auto ft_future = util::global_pool().submit(
+        [&g_tilde] { return factor_gram(g_tilde); });
+    try {
+      f = factor_gram(g);
+    } catch (...) {
+      ft_future.wait();  // the task still reads g_tilde
+      throw;
+    }
+    ft = ft_future.get();
+  }
+
+  // UᵀŨ = S⁻¹·Wᵀ(XᵀX̃)W̃·S̃⁻¹ on the retained directions; then
+  // EI = 1 − Σᵢⱼ Pᵢⱼ²·(sᵢ^{2α} + s̃ⱼ^{2α}) / (Σᵢ sᵢ^{2α} + Σⱼ s̃ⱼ^{2α}).
+  const la::Matrix m = la::matmul_at_b(f.w, la::matmul(cross, ft.w));
+  const auto weights = [alpha](const std::vector<double>& s) {
+    std::vector<double> w(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      w[i] = std::pow(s[i], 2.0 * alpha);
+    }
+    return w;
+  };
+  const std::vector<double> wx = weights(f.s);
+  const std::vector<double> wt = weights(ft.s);
+  double total = 0.0;
+  for (const double w : wx) total += w;
+  for (const double w : wt) total += w;
+  ANCHOR_CHECK_GT(total, 0.0);
+  double kept = 0.0;
+  for (std::size_t i = 0; i < f.s.size(); ++i) {
+    const double* mi = m.row(i);
+    for (std::size_t j = 0; j < ft.s.size(); ++j) {
+      const double p = mi[j] / (f.s[i] * ft.s[j]);
+      kept += p * p * (wx[i] + wt[j]);
+    }
+  }
+  return 1.0 - kept / total;
 }
 
 double eigenspace_instability_naive(const la::Matrix& x,

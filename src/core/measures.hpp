@@ -10,7 +10,9 @@
 //
 // Every implementation avoids n×n intermediates: PIP loss uses the Gram
 // trick and the eigenspace instability measure uses the O(n·d²) expansion of
-// Appendix B.1.
+// Appendix B.1. When the reference pair defining Σ is the evaluated pair
+// itself (the serving gate's case), eigenspace_instability_self needs no n×d
+// factor at all: three Gram products and two d×d eigensolves.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +40,10 @@ double knn_measure(const la::Matrix& x, const la::Matrix& x_tilde,
 la::Matrix normalize_rows_l2(const la::Matrix& m);
 
 /// knn_measure on matrices already row-normalized via normalize_rows_l2.
-/// Queries are scored in parallel over the shared util::global_pool();
-/// each query's overlap is computed independently and reduced in query
-/// order, so the result is bit-for-bit identical at any thread count.
+/// Sampled queries are scored in fixed panels of 16 (one gemm_nt per panel
+/// and matrix) in parallel over the shared util::global_pool(); panels are
+/// cut by query index, never by pool width, and overlaps are reduced in
+/// query order, so the result is bit-for-bit identical at any thread count.
 double knn_measure_normalized(const la::Matrix& nx, const la::Matrix& nxt,
                               std::size_t k = 5,
                               std::size_t num_queries = 1000,
@@ -85,6 +88,21 @@ double eigenspace_instability(const la::Matrix& u, const la::Matrix& u_tilde,
 double eigenspace_instability_of(const la::Matrix& x,
                                  const la::Matrix& x_tilde,
                                  const EisContext& ctx);
+
+/// EI_Σ(X, X̃) with the evaluated pair as its own reference pair,
+/// Σ = (XXᵀ)^α + (X̃X̃ᵀ)^α, computed in d×d space: from G = XᵀX = W·S²·Wᵀ,
+/// G̃ = X̃ᵀX̃ = W̃·S̃²·W̃ᵀ and C = XᵀX̃, P = S⁻¹·WᵀCW̃·S̃⁻¹ is UᵀŨ, and
+///   EI = 1 − Σᵢⱼ Pᵢⱼ²·(sᵢ^{2α} + s̃ⱼ^{2α}) / (Σᵢ sᵢ^{2α} + Σⱼ s̃ⱼ^{2α}),
+/// which is what the general expansion reduces to when UᵀU = I. Equal to
+/// eigenspace_instability(svd(x).u, svd(x̃).u, EisContext::build(x, x̃, α))
+/// for full-rank inputs. For a rank-deficient X it keeps only the
+/// directions above SvdResult::rank()'s cutoff, i.e. it projects onto
+/// range(X) — the rank-r projector of Proposition 1's linear model — where
+/// svd(x).u would pad U with arbitrary canonical-seeded completion columns.
+/// The two eigensolves overlap on the global pool unless called from a pool
+/// worker; the value is the same either way.
+double eigenspace_instability_self(const la::Matrix& x,
+                                   const la::Matrix& x_tilde, double alpha);
 
 /// Reference implementation via the explicit n×n Σ (Definition 2 verbatim).
 /// O(n²·d) time, O(n²) memory — used by tests to validate the fast path.

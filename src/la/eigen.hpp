@@ -1,8 +1,11 @@
-// Symmetric eigendecomposition via the cyclic Jacobi rotation method.
+// Symmetric eigendecomposition: Householder tridiagonalization followed by
+// the implicit QL algorithm (the EISPACK tred2/tql2 pair).
 //
-// Jacobi is the right choice here: the matrices are small (d×d for embedding
-// dimension d ≤ a few hundred), it is unconditionally stable, and it delivers
-// fully orthogonal eigenvectors — which the eigenspace measures depend on.
+// The matrices are small (d×d for embedding dimension d ≤ a few hundred),
+// and both phases are backward stable and deliver orthogonal eigenvectors —
+// which the eigenspace measures depend on. The eigenvectors are accumulated
+// transposed, so every Householder update is a contiguous dot/axpy and every
+// QL rotation is one SIMD Givens update of two contiguous rows.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -19,10 +22,7 @@ struct EigenResult {
 /// Eigendecomposition of a symmetric matrix. The input is symmetrized
 /// (averaged with its transpose) to absorb round-off asymmetry; a genuinely
 /// non-symmetric input is a caller bug and is rejected beyond a tolerance.
-///
-/// `tol` bounds the off-diagonal Frobenius mass at convergence, relative to
-/// the matrix norm.
-EigenResult eigen_symmetric(const Matrix& a, double tol = 1e-12,
-                            int max_sweeps = 64);
+/// Eigenvalues are accurate to a few ulps of the matrix norm.
+EigenResult eigen_symmetric(const Matrix& a);
 
 }  // namespace anchor::la

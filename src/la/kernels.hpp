@@ -53,7 +53,7 @@ double l2_normalize(double* x, std::size_t n);
 
 /// Givens rotation applied in place to two length-n vectors:
 /// x[i] ← c·x[i] − s·y[i], y[i] ← s·x[i] + c·y[i]. Bit-exact with the
-/// scalar loop (mul+sub / mul+add, no fused contraction) — the Jacobi
+/// scalar loop (mul+sub / mul+add, no fused contraction) — the QL
 /// eigensolver's inner update on contiguous rows.
 void rot(double* x, double* y, std::size_t n, double c, double s);
 

@@ -10,14 +10,31 @@ namespace anchor::la {
 
 namespace {
 
-// Fixed row-block sizes for the parallel paths. Blocking is keyed to the
-// *size* of the input, never the pool width, so results are bit-for-bit
-// identical at any thread count (the determinism contract of the measure
-// layer). Below the threshold everything stays serial — identical to the
-// historical loops.
-constexpr std::size_t kParallelRowThreshold = 512;
-constexpr std::size_t kReduceRowBlock = 256;  // matmul_at_b partial width
-constexpr std::size_t kGemmRowTile = 64;      // matmul/matmul_a_bt tiles
+// Every product is split into tiles of output rows, and each output
+// element is summed in the same order whatever the tiling, so results are
+// bit-for-bit identical to the serial loop at any thread count (the
+// determinism contract of the measure layer). Products below
+// kParallelWork multiply-adds stay on the calling thread, where a pool
+// hand-off would cost more than it saves.
+constexpr std::size_t kParallelWork = std::size_t{1} << 20;
+constexpr std::size_t kAtbRowTile = 16;   // matmul_at_b / gram tiles
+constexpr std::size_t kGemmRowTile = 64;  // matmul / matmul_a_bt tiles
+
+/// Runs body(lo, hi) over [0, rows) in tiles of `tile` rows: on the pool
+/// when the product is worth `work` ≥ kParallelWork multiply-adds, else
+/// in one serial call.
+template <typename Body>
+void for_row_tiles(std::size_t rows, std::size_t tile, std::size_t work,
+                   const Body& body) {
+  if (work < kParallelWork || rows <= tile) {
+    body(0, rows);
+    return;
+  }
+  const std::size_t tiles = (rows + tile - 1) / tile;
+  util::global_pool().parallel_for(0, tiles, [&](std::size_t t) {
+    body(t * tile, std::min((t + 1) * tile, rows));
+  });
+}
 
 }  // namespace
 
@@ -31,88 +48,63 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   ANCHOR_CHECK_EQ(a.cols(), b.rows());
   Matrix c(a.rows(), b.cols(), 0.0);
   // ikj loop order keeps the inner loop streaming over contiguous rows.
-  // Every output row is an independent computation, so tall products fan
-  // out over the pool in fixed tiles (bit-exact with the serial loop).
-  const auto run_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double* arow = a.row(i);
-      double* crow = c.row(i);
-      for (std::size_t k = 0; k < a.cols(); ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        kernels::axpy(aik, b.row(k), crow, b.cols());
-      }
-    }
-  };
-  if (a.rows() < kParallelRowThreshold) {
-    run_rows(0, a.rows());
-  } else {
-    const std::size_t tiles = (a.rows() + kGemmRowTile - 1) / kGemmRowTile;
-    util::global_pool().parallel_for(0, tiles, [&](std::size_t t) {
-      run_rows(t * kGemmRowTile,
-               std::min((t + 1) * kGemmRowTile, a.rows()));
-    });
-  }
+  for_row_tiles(a.rows(), kGemmRowTile, a.rows() * a.cols() * b.cols(),
+                [&](std::size_t lo, std::size_t hi) {
+                  for (std::size_t i = lo; i < hi; ++i) {
+                    const double* arow = a.row(i);
+                    double* crow = c.row(i);
+                    for (std::size_t k = 0; k < a.cols(); ++k) {
+                      const double aik = arow[k];
+                      if (aik == 0.0) continue;
+                      kernels::axpy(aik, b.row(k), crow, b.cols());
+                    }
+                  }
+                });
   return c;
 }
 
+namespace {
+
+/// c(i, j) += a(r, i)·b(r, j) over every input row r in order, for output
+/// rows i ∈ [lo, hi) and columns j ≥ i when `upper_only` (else all j). A
+/// tile of C stays cache-resident while A and B stream past it.
+void accumulate_at_b(const Matrix& a, const Matrix& b, Matrix& c,
+                     std::size_t lo, std::size_t hi, bool upper_only) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double* arow = a.row(r);
+    const double* brow = b.row(r);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double ari = arow[i];
+      if (ari == 0.0) continue;
+      const std::size_t j0 = upper_only ? i : 0;
+      kernels::axpy(ari, brow + j0, c.row(i) + j0, b.cols() - j0);
+    }
+  }
+}
+
+}  // namespace
+
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   ANCHOR_CHECK_EQ(a.rows(), b.rows());
-  const auto accumulate = [&](Matrix& c, std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const double* arow = a.row(r);
-      const double* brow = b.row(r);
-      for (std::size_t i = 0; i < a.cols(); ++i) {
-        const double ari = arow[i];
-        if (ari == 0.0) continue;
-        kernels::axpy(ari, brow, c.row(i), b.cols());
-      }
-    }
-  };
   Matrix c(a.cols(), b.cols(), 0.0);
-  if (a.rows() < kParallelRowThreshold) {
-    accumulate(c, 0, a.rows());
-    return c;
-  }
-  // Tall reduction: fixed row blocks accumulate into private partials in
-  // parallel, then fold in block order. The grouping depends only on the
-  // input height — never the pool size — so the (reassociated) sum is the
-  // same at every thread count. Doubling the block height past 32 blocks
-  // bounds the transient partial storage on very tall inputs.
-  std::size_t block_rows = kReduceRowBlock;
-  while (block_rows * 32 < a.rows()) block_rows *= 2;
-  const std::size_t blocks = (a.rows() + block_rows - 1) / block_rows;
-  std::vector<Matrix> partials(blocks);
-  util::global_pool().parallel_for(0, blocks, [&](std::size_t blk) {
-    partials[blk] = Matrix(a.cols(), b.cols(), 0.0);
-    accumulate(partials[blk], blk * block_rows,
-               std::min((blk + 1) * block_rows, a.rows()));
-  });
-  for (const Matrix& p : partials) {
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c.storage()[i] += p.storage()[i];
-    }
-  }
+  for_row_tiles(a.cols(), kAtbRowTile, a.rows() * a.cols() * b.cols(),
+                [&](std::size_t lo, std::size_t hi) {
+                  accumulate_at_b(a, b, c, lo, hi, /*upper_only=*/false);
+                });
   return c;
 }
 
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   ANCHOR_CHECK_EQ(a.cols(), b.cols());
   Matrix c(a.rows(), b.rows());
-  if (a.rows() < kParallelRowThreshold) {
-    kernels::gemm_nt(a.data(), a.rows(), b.data(), b.rows(), a.cols(),
-                     c.data());
-    return c;
-  }
-  // Every output element is an independent dot product, so tiling the A
-  // rows across the pool is bit-exact with the single-call gemm.
-  const std::size_t tiles = (a.rows() + kGemmRowTile - 1) / kGemmRowTile;
-  util::global_pool().parallel_for(0, tiles, [&](std::size_t t) {
-    const std::size_t lo = t * kGemmRowTile;
-    const std::size_t hi = std::min(lo + kGemmRowTile, a.rows());
-    kernels::gemm_nt(a.data() + lo * a.cols(), hi - lo, b.data(), b.rows(),
-                     a.cols(), c.data() + lo * b.rows());
-  });
+  // Every output element is an independent dot product, so tiles of A rows
+  // are bit-exact with the single-call gemm.
+  for_row_tiles(a.rows(), kGemmRowTile, a.rows() * a.cols() * b.rows(),
+                [&](std::size_t lo, std::size_t hi) {
+                  kernels::gemm_nt(a.data() + lo * a.cols(), hi - lo,
+                                   b.data(), b.rows(), a.cols(),
+                                   c.data() + lo * b.rows());
+                });
   return c;
 }
 
@@ -124,7 +116,21 @@ Matrix transpose(const Matrix& m) {
   return t;
 }
 
-Matrix gram(const Matrix& a) { return matmul_at_b(a, a); }
+Matrix gram(const Matrix& a) {
+  // The upper triangle sums the same products in the same order as
+  // matmul_at_b(a, a), and the mirror copies them, so the result equals
+  // that product bit for bit at half the work.
+  const std::size_t d = a.cols();
+  Matrix c(d, d, 0.0);
+  for_row_tiles(d, kAtbRowTile, a.rows() * d * d / 2,
+                [&](std::size_t lo, std::size_t hi) {
+                  accumulate_at_b(a, a, c, lo, hi, /*upper_only=*/true);
+                });
+  for (std::size_t i = 1; i < d; ++i) {
+    for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
+  }
+  return c;
+}
 
 Matrix add(const Matrix& a, const Matrix& b) {
   ANCHOR_CHECK_EQ(a.rows(), b.rows());

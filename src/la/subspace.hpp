@@ -1,6 +1,6 @@
 // Top-k symmetric eigensolver by orthogonal (block power) iteration.
 //
-// The Jacobi solver in eigen.hpp is dense O(n³) — right for d×d Gram
+// The dense solver in eigen.hpp is O(n³) — right for d×d Gram
 // matrices, wrong for the n×n sparse PPMI matrix the SVD embedding factors.
 // Orthogonal iteration with a Rayleigh–Ritz projection needs only A·X
 // products, so it runs in O(nnz·k) per sweep and never densifies A.

@@ -1,12 +1,15 @@
 // Thin singular value decomposition for tall matrices.
 //
 // For X ∈ R^{n×d} with n ≥ d we take the Gram route: eigendecompose
-// XᵀX = V·Λ·Vᵀ (d×d, via Jacobi), set S = √Λ, and recover U = X·V·S⁻¹.
-// This is O(n·d²) time and O(d²) extra memory — exactly the cost model
-// Appendix B.1 of the paper assumes — and is accurate for the moderately
-// conditioned embedding matrices this library works with. Directions whose
-// singular value falls below a relative rank tolerance are re-orthogonalized
-// against the retained ones so U always has orthonormal columns.
+// XᵀX = V·Λ·Vᵀ (d×d, via la::eigen_symmetric's tridiagonal QL), set
+// S = √Λ, and recover U = X·V·S⁻¹. This is O(n·d²) time and O(d²) extra
+// memory — exactly the cost model Appendix B.1 of the paper assumes — and
+// is accurate for the moderately conditioned embedding matrices this
+// library works with. Directions whose singular value falls below a
+// relative rank tolerance are re-orthogonalized against the retained ones
+// so U always has orthonormal columns. Callers that need only products of
+// U with another factor (the gate's eigenspace instability) can stay in
+// d×d space instead; see core::eigenspace_instability_self.
 #pragma once
 
 #include "la/matrix.hpp"

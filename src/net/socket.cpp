@@ -40,6 +40,10 @@ sockaddr_in loopback_addr(const std::string& host, std::uint16_t port) {
 
 }  // namespace
 
+bool is_resource_exhaustion(int err) {
+  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
 // ---- TcpStream ---------------------------------------------------------
 
 TcpStream::~TcpStream() { close(); }
@@ -63,14 +67,28 @@ void TcpStream::close() {
 }
 
 TcpStream TcpStream::connect(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket");
+  int err = 0;
+  TcpStream stream = try_connect(host, port, &err);
+  if (!stream.valid()) {
+    throw NetError("connect to " + host + ":" + std::to_string(port) + ": " +
+                   std::strerror(err));
+  }
+  return stream;
+}
+
+TcpStream TcpStream::try_connect(const std::string& host, std::uint16_t port,
+                                 int* err) {
   const sockaddr_in addr = loopback_addr(host, port);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    *err = errno;
+    return TcpStream(-1);
+  }
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
+    *err = errno;  // before close() can overwrite it
     ::close(fd);
-    throw NetError("connect to " + host + ":" + std::to_string(port) + ": " +
-                   std::strerror(errno));
+    return TcpStream(-1);
   }
   set_nodelay(fd);
   return TcpStream(fd);
@@ -204,8 +222,7 @@ TcpStream TcpListener::accept(int timeout_ms) {
     const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
+      if (is_resource_exhaustion(errno)) {
         // The connection stays in the backlog, so poll would report it
         // ready again at once: pause instead of spinning, and let the
         // caller retry once a descriptor or buffer frees up.

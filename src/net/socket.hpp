@@ -18,6 +18,11 @@ struct NetError : std::runtime_error {
   explicit NetError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// True for the errno values (EMFILE, ENFILE, ENOBUFS, ENOMEM) that report
+/// this process or host out of descriptors or buffers: a local condition
+/// that says nothing about the peer.
+bool is_resource_exhaustion(int err);
+
 /// A connected TCP stream. Move-only; closes on destruction.
 class TcpStream {
  public:
@@ -31,6 +36,13 @@ class TcpStream {
   /// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1"). Throws
   /// NetError on failure.
   static TcpStream connect(const std::string& host, std::uint16_t port);
+
+  /// connect() that reports a failed socket()/connect() as an invalid
+  /// stream with its errno in *err instead of throwing, so a caller can
+  /// tell a local failure from a refusing peer. Still throws NetError on a
+  /// malformed host.
+  static TcpStream try_connect(const std::string& host, std::uint16_t port,
+                               int* err);
 
   /// Writes exactly `n` bytes (TCP_NODELAY is set at construction, so
   /// frames flush immediately). Throws NetError on any short write.

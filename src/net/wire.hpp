@@ -153,6 +153,7 @@ class WireWriter {
   // -Wstringop-overflow false-fires on the inlined insert-into-empty-
   // vector memmove in some TUs.
   void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be null; see WireReader::f32s
     const std::size_t old = buf_.size();
     buf_.resize(old + n);
     std::memcpy(buf_.data() + old, p, n);
@@ -181,12 +182,16 @@ class WireReader {
     pos_ += n;
     return s;
   }
+  // n == 0 returns early: `out` may then be an empty vector's null data(),
+  // and memcpy with a null pointer is undefined even for zero bytes.
   void f32s(float* out, std::size_t n) {
+    if (n == 0) return;
     need(n * sizeof(float));
     std::memcpy(out, data_ + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
   }
   void bytes(std::uint8_t* out, std::size_t n) {
+    if (n == 0) return;
     need(n);
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;

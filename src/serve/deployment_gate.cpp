@@ -81,14 +81,9 @@ GateReport DeploymentGate::evaluate(const EmbeddingSnapshot& incumbent,
   };
   // The incumbent/candidate pair doubles as the reference pair defining
   // Σ = (EEᵀ)^α + (ẼẼᵀ)^α — the serving-time analogue of the paper using
-  // the highest-dimensional full-precision pair as the reference. Because
-  // the reference pair *is* the evaluated pair, ctx.v / ctx.v_tilde already
-  // hold the left singular vectors of x / x̃ — reusing them instead of
-  // calling eigenspace_instability_of halves the SVD work per evaluation
-  // (bit-identical result: same deterministic SVD of the same matrices).
+  // the highest-dimensional full-precision pair as the reference.
   const auto eis = [&] {
-    const auto ctx = core::EisContext::build(x, x_tilde, config_.alpha);
-    return core::eigenspace_instability(ctx.v, ctx.v_tilde, ctx);
+    return core::eigenspace_instability_self(x, x_tilde, config_.alpha);
   };
 
   if (util::ThreadPool::on_worker_thread()) {
@@ -99,8 +94,8 @@ GateReport DeploymentGate::evaluate(const EmbeddingSnapshot& incumbent,
     report.eis = eis();
     report.one_minus_knn = one_minus_knn();
   } else {
-    // Overlap the kNN overlap with the SVD-heavy instability work (whose
-    // Jacobi sweeps are inherently serial).
+    // Overlap the kNN overlap with the instability work (whose two
+    // eigensolves are serial).
     auto knn_future = util::global_pool().submit(one_minus_knn);
     try {
       report.eis = eis();

@@ -39,6 +39,7 @@ void ThreadPool::enqueue(std::function<void()> job) {
     std::lock_guard<std::mutex> lock(mu_);
     ANCHOR_CHECK_MSG(!stop_, "enqueue on a stopping ThreadPool");
     queue_.push_back(std::move(job));
+    queued_.store(queue_.size(), std::memory_order_relaxed);
   }
   cv_.notify_one();
 }
@@ -53,6 +54,7 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stop_ set and fully drained
       job = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
     }
     job();
   }
@@ -95,7 +97,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   state->total = n;
   state->fn = &fn;
 
-  const auto drain = [](LoopState& s) {
+  const auto drain = [this](LoopState& s, bool helper) {
     for (;;) {
       const std::size_t i = s.next.fetch_add(s.chunk);
       if (i >= s.end) return;
@@ -114,6 +116,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         std::lock_guard<std::mutex> lock(s.m);
         s.cv.notify_all();
       }
+      // Other jobs are waiting (a batcher flush, a submitted task): a
+      // helper hands its worker to them and leaves the rest of the loop to
+      // the caller and the helpers still running.
+      if (helper && queued_.load(std::memory_order_relaxed) > 0) return;
     }
   };
 
@@ -122,9 +128,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t chunks = (n + state->chunk - 1) / state->chunk;
   const std::size_t helpers = std::min(size(), chunks - 1);
   for (std::size_t h = 0; h < helpers; ++h) {
-    enqueue([state, drain] { drain(*state); });
+    enqueue([state, drain] { drain(*state, /*helper=*/true); });
   }
-  drain(*state);
+  drain(*state, /*helper=*/false);
   std::unique_lock<std::mutex> lock(state->m);
   state->cv.wait(lock, [&] { return state->done.load() == state->total; });
   if (state->error) std::rethrow_exception(state->error);

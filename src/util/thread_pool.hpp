@@ -13,6 +13,7 @@
 // tests may rebuild it via set_global_pool_threads to sweep thread counts.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -39,7 +40,11 @@ class ThreadPool {
   /// Runs fn(i) for every i in [begin, end), spread over the workers and the
   /// calling thread. Blocks until every index has run. Iterations must be
   /// independent (no iteration may read another's output); under that
-  /// contract results are deterministic at any pool size. Safe to call from
+  /// contract results are deterministic at any pool size. Helpers only
+  /// borrow idle workers: one that finishes a chunk while other jobs wait
+  /// in the queue leaves the loop to them, so a long loop delays a queued
+  /// job by at most one chunk, and the caller, which always drains to the
+  /// end, finishes what is left. Safe to call from
   /// inside a worker thread: the caller claims chunks itself and never
   /// waits on a helper that has not started, so a nested loop completes
   /// even with every worker busy. If fn throws, the throwing chunk's
@@ -73,6 +78,9 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+  /// queue_.size(), readable without mu_: parallel_for helpers poll it to
+  /// yield their worker to queued jobs between chunks.
+  std::atomic<std::size_t> queued_{0};
 };
 
 /// The process-wide pool. First use constructs it with ANCHOR_THREADS

@@ -6,10 +6,13 @@
 // net_test style.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -573,10 +576,50 @@ TEST(ClusterClient, BackendKillYieldsDegradedPartialResultThenRecovery) {
   on_same_port.port = dead_port;
   Backend revived({{"v1", slice(base, 450, kVocab)}}, plain_snap(),
                   on_same_port);
-  EXPECT_TRUE(ClusterClient::probe("127.0.0.1", dead_port, 500));
+  EXPECT_EQ(ClusterClient::probe("127.0.0.1", dead_port, 500),
+            ClusterClient::ProbeResult::kUp);
   health->mark(1, true);
   EXPECT_TRUE(identical(client.lookup_ids(ids), ref.lookup_ids(ids)));
   EXPECT_FALSE(client.last_degraded());
+}
+
+TEST(Router, ProbeThatFailsLocallyLeavesBackendHealthAlone) {
+  // The router process runs out of descriptors while its backend is fine:
+  // every probe's socket() fails with EMFILE, which is no verdict on the
+  // backend, so the probe loop must not mark it down.
+  Cluster cluster({{"v1", random_embedding(43, kVocab, kDim)}}, {0, kVocab},
+                  plain_snap());
+  RouterConfig rc;
+  rc.map = cluster.map;
+  rc.probe_interval_ms = 20;
+  Router router(rc);
+  router.start();
+  ASSERT_TRUE(router.health().healthy(0));
+
+  const int base = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(base, 0);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(base + 1);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(base)) >= 0;) fillers.push_back(fd);
+  const int dup_errno = errno;
+  // Many probe sweeps run while no descriptor is free.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const bool healthy_while_exhausted = router.health().healthy(0);
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::close(base);
+
+  EXPECT_EQ(dup_errno, EMFILE);
+  EXPECT_TRUE(healthy_while_exhausted);
+  // Descriptors are back: the data plane serves through the router.
+  net::Client client("127.0.0.1", router.port());
+  EXPECT_FALSE(client.lookup_ids({1, 2, 3}).vectors.empty());
+  EXPECT_TRUE(router.health().healthy(0));
+  router.stop();
 }
 
 /// Like Cluster, but every shard slice is served by `replicas` identical
@@ -1417,7 +1460,8 @@ TEST(ChaosSoak, KillRestartUnderInjectedFaultsNeverDegradesOrDiverges) {
   };
   const auto wait_up = [&](std::size_t shard, std::size_t rep) -> bool {
     for (int i = 0; i < 500; ++i) {
-      if (ClusterClient::probe("127.0.0.1", procs[shard][rep].port, 200)) {
+      if (ClusterClient::probe("127.0.0.1", procs[shard][rep].port, 200) ==
+          ClusterClient::ProbeResult::kUp) {
         return true;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -1462,7 +1506,8 @@ TEST(ChaosSoak, KillRestartUnderInjectedFaultsNeverDegradesOrDiverges) {
     for (std::size_t b = 0; b < 2; ++b) {
       for (std::size_t r = 0; r < 2; ++r) {
         if (procs[b][r].pid > 0 && !health->healthy(b, r) &&
-            ClusterClient::probe("127.0.0.1", procs[b][r].port, 200)) {
+            ClusterClient::probe("127.0.0.1", procs[b][r].port, 200) ==
+                ClusterClient::ProbeResult::kUp) {
           health->mark(b, r, true);
         }
       }

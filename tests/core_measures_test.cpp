@@ -189,6 +189,71 @@ INSTANTIATE_TEST_SUITE_P(
                       EisCase{35, 8, 3, 2.0}, EisCase{35, 8, 8, 3.0},
                       EisCase{16, 5, 5, 0.0}, EisCase{40, 10, 6, 3.0}));
 
+// ---------- eigenspace instability, self-referenced (the gate's case) ----
+
+struct SelfCase {
+  std::size_t n, d, k;
+};
+
+class EisSelfAgainstNaive
+    : public ::testing::TestWithParam<std::tuple<SelfCase, double>> {};
+
+TEST_P(EisSelfAgainstNaive, ClosedFormMatchesDefinition2) {
+  const auto [shape, alpha] = GetParam();
+  const la::Matrix x = random_matrix(shape.n, shape.d, 80 + shape.n);
+  // Equal widths: a nearby candidate (the small-EIS regime the gate
+  // admits); unequal widths: an unrelated one.
+  const la::Matrix x_tilde = shape.k == shape.d
+                                 ? perturbed(x, 0.3, 81 + shape.n)
+                                 : random_matrix(shape.n, shape.k, 82);
+
+  const double fast = eigenspace_instability_self(x, x_tilde, alpha);
+  const double naive = eigenspace_instability_naive(
+      x, x_tilde, build_sigma_naive(x, x_tilde, alpha));
+  EXPECT_NEAR(fast, naive, 1e-6 * std::abs(naive));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EisSelfAgainstNaive,
+    ::testing::Combine(::testing::Values(SelfCase{40, 6, 6},  // n > d
+                                         SelfCase{40, 8, 5},  // k ≠ d
+                                         SelfCase{12, 20, 8},   // n < d
+                                         SelfCase{16, 6, 24}),  // n < k
+                       ::testing::Values(0.0, 1.0, 3.0)));
+
+TEST(EisSelf, MatchesTheGeneralPathWithTheEvaluatedPairAsReference) {
+  const la::Matrix x = random_matrix(300, 12, 90);
+  const la::Matrix y = perturbed(x, 0.2, 91);
+  const EisContext ctx = EisContext::build(x, y, 3.0);
+  EXPECT_NEAR(eigenspace_instability_self(x, y, 3.0),
+              eigenspace_instability(ctx.v, ctx.v_tilde, ctx), 1e-10);
+}
+
+TEST(EisSelf, RankDeficientInputProjectsOntoItsRange) {
+  // Column 4 duplicates column 1, so X has rank 4 of 5. The oracle is
+  // Definition 2 built from the first rank() columns of svd(x).u — the
+  // rank-r projector of Proposition 1's linear model.
+  la::Matrix x = random_matrix(30, 5, 92);
+  for (std::size_t i = 0; i < x.rows(); ++i) x(i, 4) = x(i, 1);
+  const la::Matrix y = perturbed(random_matrix(30, 4, 93), 0.1, 94);
+  const la::SvdResult sx = la::svd(x);
+  const std::size_t r = sx.rank();
+  ASSERT_EQ(r, 4u);
+  la::Matrix x_range(x.rows(), r);  // U_r·S_r: same range, same spectrum
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < r; ++j) {
+      x_range(i, j) = sx.u(i, j) * sx.singular_values[j];
+    }
+  }
+  for (const double alpha : {0.0, 1.0, 3.0}) {
+    const double naive = eigenspace_instability_naive(
+        x_range, y, build_sigma_naive(x_range, y, alpha));
+    EXPECT_NEAR(eigenspace_instability_self(x, y, alpha), naive,
+                1e-6 * std::abs(naive))
+        << "alpha " << alpha;
+  }
+}
+
 TEST(Eis, ZeroWhenSpansIdentical) {
   const la::Matrix x = random_matrix(30, 5, 40);
   const la::Matrix y = la::matmul(x, random_orthogonal(5, 41));

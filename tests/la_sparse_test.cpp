@@ -1,6 +1,6 @@
 // Tests for the CSR sparse matrix and the top-k subspace eigensolver:
 // assembly semantics (duplicates, empty rows), product agreement with the
-// dense oracle, and eigenpair recovery against the dense Jacobi solver.
+// dense oracle, and eigenpair recovery against the dense eigensolver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,7 +175,7 @@ TEST(TopEigs, VectorsAreOrthonormal) {
   EXPECT_LT(max_abs_diff(gram(r.vectors), Matrix::identity(4)), 1e-8);
 }
 
-TEST(TopEigs, MatchesDenseJacobiOnRandomPsdMatrix) {
+TEST(TopEigs, MatchesDenseEigensolverOnRandomPsdMatrix) {
   Rng rng(8);
   Matrix b(15, 15);
   for (double& v : b.storage()) v = rng.normal();

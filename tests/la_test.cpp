@@ -140,7 +140,94 @@ TEST_P(EigenProperty, ReconstructionAndOrthogonality) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenProperty,
-                         ::testing::Values(1, 2, 3, 5, 8, 16, 33));
+                         ::testing::Values(1, 2, 3, 5, 8, 16, 33, 300));
+
+/// VᵀV = I, V·diag(λ)·Vᵀ = A, and λ sorted descending.
+void expect_eigendecomposition(const Matrix& a, const EigenResult& e,
+                               double tol) {
+  const std::size_t n = a.rows();
+  ASSERT_EQ(e.values.size(), n);
+  EXPECT_LT(max_abs_diff(gram(e.vectors), Matrix::identity(n)), tol);
+  Matrix vl = e.vectors;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) vl(i, j) *= e.values[j];
+  }
+  EXPECT_LT(max_abs_diff(matmul_a_bt(vl, e.vectors), a), tol);
+  for (std::size_t i = 1; i < n; ++i) EXPECT_GE(e.values[i - 1], e.values[i]);
+}
+
+TEST(Eigen, IdentityHasOneRepeatedEigenvalue) {
+  const Matrix id = Matrix::identity(7);
+  const EigenResult e = eigen_symmetric(id);
+  for (const double v : e.values) EXPECT_NEAR(v, 1.0, 1e-14);
+  expect_eigendecomposition(id, e, 1e-13);
+}
+
+TEST(Eigen, TwoFoldBlocksKeepTheirEigenspaces) {
+  // Q·diag(5,5,2,2,-1,-1)·Qᵀ: each repeated eigenvalue owns a 2-d
+  // eigenspace, which the solver must return exactly (as a projector)
+  // even though any basis of it is valid.
+  const std::vector<double> lambda = {5, 5, 2, 2, -1, -1};
+  const std::size_t n = lambda.size();
+  const Matrix q = random_orthogonal(n, 12);
+  Matrix ql = q;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) ql(i, j) *= lambda[j];
+  }
+  const Matrix a = matmul_a_bt(ql, q);
+  const EigenResult e = eigen_symmetric(a);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(e.values[i], lambda[i], 1e-12);
+  expect_eigendecomposition(a, e, 1e-12);
+  const auto projector = [n](const Matrix& basis, std::size_t first) {
+    Matrix p(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t c = first; c < first + 2; ++c) {
+          p(i, j) += basis(i, c) * basis(j, c);
+        }
+      }
+    }
+    return p;
+  };
+  for (const std::size_t first : {0u, 2u, 4u}) {
+    EXPECT_LT(max_abs_diff(projector(e.vectors, first), projector(q, first)),
+              1e-10)
+        << "eigenspace starting at column " << first;
+  }
+}
+
+TEST(Eigen, ZeroMatrix) {
+  const Matrix z(5, 5, 0.0);
+  const EigenResult e = eigen_symmetric(z);
+  for (const double v : e.values) EXPECT_EQ(v, 0.0);
+  expect_eigendecomposition(z, e, 1e-15);
+}
+
+TEST(Eigen, OneByOne) {
+  const EigenResult e = eigen_symmetric(Matrix(1, 1, -3.5));
+  ASSERT_EQ(e.values.size(), 1u);
+  EXPECT_EQ(e.values[0], -3.5);
+  EXPECT_EQ(std::abs(e.vectors(0, 0)), 1.0);
+}
+
+TEST(Eigen, GradedDiagonalKeepsRelativeAccuracy) {
+  // 1e-12 … 1 in scrambled order: every eigenvalue to full relative
+  // precision, every eigenvector a signed canonical axis.
+  const std::vector<std::size_t> slot = {4, 11, 0, 7, 12, 2, 9, 5, 1, 10, 6,
+                                         3, 8};
+  const std::size_t n = slot.size();
+  Matrix a(n, n, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    a(slot[k], slot[k]) = std::pow(10.0, -static_cast<double>(k));
+  }
+  const EigenResult e = eigen_symmetric(a);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double want = std::pow(10.0, -static_cast<double>(k));
+    EXPECT_NEAR(e.values[k], want, 1e-14 * want) << "eigenvalue " << k;
+    EXPECT_NEAR(std::abs(e.vectors(slot[k], k)), 1.0, 1e-14);
+  }
+  expect_eigendecomposition(a, e, 1e-14);
+}
 
 TEST(Svd, KnownDiagonal) {
   Matrix m(3, 2, {3, 0, 0, 2, 0, 0});

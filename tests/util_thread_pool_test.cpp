@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace anchor {
@@ -93,6 +95,27 @@ TEST(ThreadPool, ParallelForOnSaturatedPoolDoesNotDeadlock) {
   release.store(true);
   EXPECT_TRUE(b1.get());
   EXPECT_TRUE(b2.get());
+}
+
+TEST(ThreadPool, LongParallelForYieldsWorkersToQueuedJobs) {
+  // A job queued while a long loop runs must not wait for the whole loop:
+  // helpers hand their worker back between chunks (120 iterations of 2 ms
+  // on 2 workers + the caller come in chunks of 10, about 80 ms in all).
+  util::ThreadPool pool(2);
+  constexpr std::size_t kIters = 120;
+  std::atomic<std::size_t> done{0};
+  std::atomic<std::size_t> done_when_job_ran{kIters};
+  std::thread loop([&] {
+    pool.parallel_for(0, kIters, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      done.fetch_add(1);
+    });
+  });
+  while (done.load() == 0) std::this_thread::yield();
+  pool.submit([&] { done_when_job_ran.store(done.load()); }).get();
+  loop.join();
+  EXPECT_EQ(done.load(), kIters);
+  EXPECT_LT(done_when_job_ran.load(), kIters / 2);
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstExceptionAfterQuiescing) {

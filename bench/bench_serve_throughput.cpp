@@ -30,13 +30,11 @@
 // The canary section prices the CanaryRouter data plane. Two numbers:
 // the SHADOW overhead (shadow-rate 0.1 vs 0 through the same router —
 // the cost of observing agreement, a few percent) and the ROUTING
-// overhead vs the plain async batch path. The latter is dominated on a
-// 1-core host by the general path's cv-wait latency floor: the hash
-// split turns every full batch into two underfull sub-batches whose
-// flush deadline + promise wakeup cost ~100 µs of timer slack per
-// request with a single blocking driver. With concurrent clients the
-// sub-batches coalesce across requests and that floor amortizes away —
-// re-measure on multicore before reading it as steady-state cost.
+// overhead vs the plain async batch path. The hash split turns every
+// full batch into two underfull sub-batches, each of which waits for the
+// batcher's quiescence flush before the routing thread runs it; with
+// concurrent clients the sub-batches coalesce across requests and that
+// wait amortizes away.
 //
 // The cluster section prices the shard router's scatter-gather data
 // plane: batch-64 lookups over loopback TCP against one direct backend
@@ -50,7 +48,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <future>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -113,8 +110,8 @@ serve::StatsSnapshot run_cell(serve::LookupService& service, int threads,
 }
 
 /// Coalesced single-key traffic: every request carries ONE key; each
-/// client pipelines kAsyncWindow futures so the dispatcher always has
-/// enough queued keys to form full batches (a blocking client per thread
+/// client pipelines kAsyncWindow futures so the ring always has enough
+/// queued keys to form full batches (a blocking client per thread
 /// would cap coalesced batches at `threads` keys).
 serve::StatsSnapshot run_async_cell(const serve::LookupService& service,
                                     int threads, double* mean_batch) {
@@ -238,10 +235,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Async coalescing: single-key futures only, batching done entirely by
-  // the AsyncLookupService dispatcher. Compare against "int8"
-  // above — that is the native lookup_batch(kBatch) hot path the
-  // coalesced traffic is trying to match.
+  // Async coalescing: single-key futures only, batched by the
+  // AsyncLookupService ring and run on the client threads themselves.
+  // Compare against "int8" above — that is the native lookup_batch(kBatch)
+  // hot path the coalesced traffic is trying to match.
   std::cout << "\nasync coalesced single-key (window=" << kAsyncWindow
             << " futures/client, max_batch=" << kBatch << "):\n";
   store.set_live("int8");

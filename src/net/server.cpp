@@ -310,17 +310,8 @@ void Server::register_handlers() {
       canary->lookup_ids_into(ids, &merged);
       encode_lookup_result(merged, &reply);
     } else {
-      // Single keys ride the allocation-free ring fast path; bigger
-      // requests coalesce on the general path. Traced requests always
-      // take the general path — the ring's slots carry no trace, and a
-      // sampled request is rare enough that the span fidelity is worth
-      // more than the fast path.
-      const serve::ResultSlice slice =
-          call.trace.sampled()
-              ? async_.lookup_ids(std::move(ids), call.trace).get()
-          : ids.size() == 1 ? async_.lookup_id(ids[0]).get()
-                            : async_.lookup_ids(std::move(ids)).get();
-      encode_result_slice(slice, &reply);
+      encode_result_slice(async_.lookup_ids(std::move(ids), call.trace).get(),
+                          &reply);
     }
     wscope.error =
         !send_data_reply(call.stream, MsgType::kLookupIdsReply, reply);
@@ -339,11 +330,8 @@ void Server::register_handlers() {
       canary->lookup_words_into(words, &merged);
       encode_lookup_result(merged, &reply);
     } else {
-      const serve::ResultSlice slice =
-          call.trace.sampled()
-              ? async_.lookup_words(std::move(words), call.trace).get()
-              : async_.lookup_words(std::move(words)).get();
-      encode_result_slice(slice, &reply);
+      encode_result_slice(
+          async_.lookup_words(std::move(words), call.trace).get(), &reply);
     }
     wscope.error =
         !send_data_reply(call.stream, MsgType::kLookupWordsReply, reply);

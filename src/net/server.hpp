@@ -4,12 +4,13 @@
 //
 // Topology: the shared RPC core (net/rpc_server.hpp) runs one accept
 // thread and one handler thread per connection; this class registers one
-// handler per request type. Lookup handlers block on the batcher future —
-// which is exactly what makes the design scale on the serving side:
-// concurrent connections' single-key requests coalesce into shared
-// batches inside AsyncLookupService instead of each paying the full
-// per-batch cost. Control-plane requests (try_promote, stats, shutdown)
-// execute on the handler thread directly.
+// handler per request type. Each lookup handler submits its request —
+// one id or many, words, traced or not — to AsyncLookupService and blocks
+// on the future; the batch runs on whichever handler thread combines it,
+// so concurrent connections' requests coalesce into shared batches with
+// no thread of the batcher's own and no hop through the global pool.
+// Control-plane requests (try_promote, stats, shutdown) execute on the
+// handler thread directly.
 //
 // The server binds in the constructor (so an ephemeral port is known
 // immediately), but serves only once start() is called. stop()

@@ -1,14 +1,12 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <limits>
+#include <chrono>
 #include <optional>
-#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -26,12 +24,24 @@ inline void cpu_relax() {
 #endif
 }
 
+/// Same clock as obs::Tracer::now_ns, so enqueue stamps double as the
+/// start of a traced request's batch_queue span.
 inline std::int64_t now_ns() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
-/// One in kClockSample fast-path enqueues reads the clock (power of two).
+/// One in kClockSample mid-batch enqueues reads the clock (power of two).
 constexpr std::uint64_t kClockSample = 16;
+/// Pause spins between two looks at the queue length; an unchanged length
+/// means arrivals stopped, so waiting cannot fill the batch further.
+constexpr int kObserveSpins = 128;
+/// Pause spins a waiter whose request is executing on another thread
+/// makes before it parks: a batch takes microseconds, a futex round trip
+/// about as long.
+constexpr int kSpinsBeforePark = 512;
+/// Key-vector capacity a recycled Mailbox keeps; a rare huge request's
+/// buffer is released instead of hoarded in the thread's cache.
+constexpr std::size_t kKeepCapacity = 1024;
 
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
@@ -47,9 +57,8 @@ AsyncLookupService::AsyncLookupService(const LookupService& service,
     : service_(service),
       config_(config),
       stats_(stats ? std::move(stats) : std::make_shared<ServeStats>()),
-      holds_(std::make_shared<HoldFreelist>()) {
+      results_(std::make_shared<ResultFreelist>()) {
   if (config_.max_batch_size == 0) config_.max_batch_size = 1;
-  if (config_.max_inflight_batches == 0) config_.max_inflight_batches = 1;
   // The ring must fit at least two full batches so a combiner never
   // deadlocks producers of the batch after the one it is executing.
   const std::size_t cap = round_up_pow2(
@@ -59,34 +68,18 @@ AsyncLookupService::AsyncLookupService(const LookupService& service,
     slots_[p].seq.store(p, std::memory_order_relaxed);
   }
   ring_mask_ = cap - 1;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 AsyncLookupService::~AsyncLookupService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+  // With no concurrent caller every combine succeeds, so this runs every
+  // queued request and each outstanding future is ready afterwards.
+  while (tail_.load(std::memory_order_acquire) !=
+         head_.load(std::memory_order_acquire)) {
+    combine_once();
   }
-  cv_.notify_all();
-  dispatcher_.join();
-  // Fast-path contract: every SliceFuture was consumed by now, so the
-  // ring is quiescent. Outstanding ResultSlices are fine — their buffers
-  // are owned by the shared freelist, not by this object.
 }
 
-bool AsyncLookupService::use_pool() const {
-  switch (config_.exec) {
-    case BatcherConfig::Exec::kPool:
-      return true;
-    case BatcherConfig::Exec::kInline:
-      return false;
-    case BatcherConfig::Exec::kAuto:
-      break;
-  }
-  return util::global_pool_threads() > 1;
-}
-
-// ---- fast path ---------------------------------------------------------
+// ---- mailboxes ----------------------------------------------------------
 
 std::vector<AsyncLookupService::Mailbox*>& AsyncLookupService::box_cache() {
   thread_local struct Cache {
@@ -109,11 +102,23 @@ AsyncLookupService::Mailbox* AsyncLookupService::alloc_box() {
 }
 
 void AsyncLookupService::free_box(Mailbox* box) {
-  // May run on a different thread than alloc_box (a moved future); each
-  // thread recycles into its own cache, bounded so a consume-heavy
-  // thread does not hoard memory.
-  box->state.store(0, std::memory_order_relaxed);
-  box->hold = nullptr;
+  // May run on a different thread than alloc_box (a moved future, or the
+  // combiner finishing a parked handoff); each thread recycles into its
+  // own cache, bounded so a consume-heavy thread does not hoard memory.
+  box->state.store(Mailbox::kPending, std::memory_order_relaxed);
+  box->handoff.store(0, std::memory_order_relaxed);
+  box->words_kind = false;
+  if (box->ids.capacity() > kKeepCapacity) {
+    std::vector<std::size_t>().swap(box->ids);
+  }
+  if (box->words.capacity() > kKeepCapacity) {
+    std::vector<std::string>().swap(box->words);
+  }
+  box->ids.clear();
+  box->words.clear();
+  box->trace = obs::TraceContext{};
+  box->slice = ResultSlice();
+  box->error = nullptr;
   std::vector<Mailbox*>& cache = box_cache();
   if (cache.size() < 4096) {
     cache.push_back(box);
@@ -122,13 +127,64 @@ void AsyncLookupService::free_box(Mailbox* box) {
   }
 }
 
+void AsyncLookupService::complete(Mailbox* box) {
+  // A waiter still spinning sees kDone on its next load: no syscall. One
+  // that parked is woken, and the box is freed by whichever of the two
+  // finishes last, so the notify never touches recycled memory.
+  if (box->state.exchange(Mailbox::kDone, std::memory_order_acq_rel) ==
+      Mailbox::kParked) {
+    box->state.notify_one();
+    if (box->handoff.fetch_add(1, std::memory_order_acq_rel) == 1) {
+      free_box(box);
+    }
+  }
+}
+
+// ---- producers ----------------------------------------------------------
+
 AsyncLookupService::SliceFuture AsyncLookupService::lookup_id(
-    std::size_t id) {
+    std::size_t id, const obs::TraceContext& trace) {
   Mailbox* box = alloc_box();
+  box->ids.push_back(id);
+  return submit(box, trace);
+}
+
+AsyncLookupService::SliceFuture AsyncLookupService::lookup_ids(
+    std::vector<std::size_t> ids, const obs::TraceContext& trace) {
+  Mailbox* box = alloc_box();
+  box->ids.swap(ids);
+  return submit(box, trace);
+}
+
+AsyncLookupService::SliceFuture AsyncLookupService::lookup_word(
+    std::string word, const obs::TraceContext& trace) {
+  Mailbox* box = alloc_box();
+  box->words_kind = true;
+  box->words.push_back(std::move(word));
+  return submit(box, trace);
+}
+
+AsyncLookupService::SliceFuture AsyncLookupService::lookup_words(
+    std::vector<std::string> words, const obs::TraceContext& trace) {
+  Mailbox* box = alloc_box();
+  box->words_kind = true;
+  box->words.swap(words);
+  return submit(box, trace);
+}
+
+AsyncLookupService::SliceFuture AsyncLookupService::submit(
+    Mailbox* box, const obs::TraceContext& trace) {
+  const std::size_t n = box->size();
+  if (n == 0) {
+    // Nothing to look up: ready at once, no batch.
+    box->state.store(Mailbox::kDone, std::memory_order_relaxed);
+    return SliceFuture(this, box);
+  }
+  box->trace = trace;
   // Claim a position only when its slot is actually free. The claim is a
   // CAS, not a blind fetch_add, so a producer waiting for ring space
   // holds NOTHING — combiners always make progress past it. Slots are
-  // freed at claim time (combine_once copies the request out), so a full
+  // freed at claim time (combine_once takes the Mailbox out), so a full
   // ring only means combining is behind, and helping combine clears it.
   std::uint64_t pos;
   std::uint32_t spins = 0;
@@ -153,331 +209,237 @@ AsyncLookupService::SliceFuture AsyncLookupService::lookup_id(
       break;
     }
   }
+  box->pos = pos;
+  const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+  // The clock is read for the request that opens a batch (the batch's
+  // oldest, whose age the stats record), for a traced one (its
+  // batch_queue span starts here), and for one in kClockSample of the
+  // rest — keeping steady_clock reads off most enqueues under load.
+  box->enqueued_ns =
+      pos == tail || trace.sampled() || (pos & (kClockSample - 1)) == 0
+          ? now_ns()
+          : 0;
+  if (n > 1) extra_keys_.fetch_add(n - 1, std::memory_order_relaxed);
   Slot& slot = slots_[pos & ring_mask_];
-  slot.key = id;
-  // The latency clock is sampled: one timestamp per kClockSample requests
-  // keeps steady_clock reads off most enqueues while still giving
-  // record_batch a client-observed queue age.
-  const std::int64_t enq_ns = (pos & (kClockSample - 1)) == 0 ? now_ns() : 0;
-  slot.enqueued_ns = enq_ns;
   slot.box = box;
   slot.seq.store(pos + 1, std::memory_order_release);
 
-  // Throughput trigger: the producer that fills a batch combines it
-  // inline — under pipelined load batches execute with no thread handoff
-  // at all. try-lock inside combine_once keeps producers from queueing up
-  // behind an active combiner.
-  if (pos + 1 - tail_.load(std::memory_order_relaxed) >=
+  // Throughput trigger: the producer whose request fills a batch runs it
+  // — under pipelined load batches execute with no thread handoff at
+  // all. The try-lock inside combine_once keeps producers from queueing
+  // up behind an active combiner.
+  if (pos + 1 - tail + extra_keys_.load(std::memory_order_relaxed) >=
       config_.max_batch_size) {
     combine_once();
   }
-  // The waiter's deadline is relative to enqueue; unsampled requests pin
-  // it lazily in await_and_consume.
-  return SliceFuture(
-      this, box,
-      enq_ns == 0
-          ? 0
-          : enq_ns + static_cast<std::int64_t>(config_.max_wait_us) * 1000);
+  return SliceFuture(this, box);
 }
+
+// ---- combining ------------------------------------------------------------
 
 bool AsyncLookupService::combine_once() {
   std::unique_lock<std::mutex> lock(combine_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return false;
   const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (head == tail) return false;
 
-  // Claim the contiguous prefix of fully WRITTEN slots: a producer
-  // preempted between its CAS and its seq publish ends the batch early
-  // rather than being waited on — the combiner never blocks on anyone.
-  // Each claimed slot is copied out and freed for its next lap on the
-  // spot, so result consumption never gates ring reuse.
-  thread_local std::vector<std::size_t> keys;
+  // Claim the contiguous prefix of PUBLISHED slots, whole requests up to
+  // the key budget: a producer preempted between its CAS and its seq
+  // publish ends the batch early rather than being waited on — the
+  // combiner never blocks on anyone. Each claimed slot is freed for its
+  // next lap on the spot, so result consumption never gates ring reuse.
   thread_local std::vector<Mailbox*> boxes;
-  keys.clear();
   boxes.clear();
-  std::int64_t oldest_ns = 0;
-  std::size_t take = 0;
-  while (take < config_.max_batch_size && tail + take < head) {
-    Slot& slot = slots_[(tail + take) & ring_mask_];
-    if (slot.seq.load(std::memory_order_acquire) != tail + take + 1) break;
-    keys.push_back(slot.key);
+  std::size_t keys = 0;
+  std::uint64_t extra = 0;
+  for (std::uint64_t p = tail; p < head && keys < config_.max_batch_size;
+       ++p) {
+    Slot& slot = slots_[p & ring_mask_];
+    if (slot.seq.load(std::memory_order_acquire) != p + 1) break;
+    const std::size_t n = slot.box->size();
+    if (!boxes.empty() && keys + n > config_.max_batch_size) break;
+    keys += n;
+    extra += n - 1;
     boxes.push_back(slot.box);
-    if (slot.enqueued_ns != 0 &&
-        (oldest_ns == 0 || slot.enqueued_ns < oldest_ns)) {
-      oldest_ns = slot.enqueued_ns;
-    }
-    slot.seq.store(tail + take + slots_.size(), std::memory_order_release);
-    ++take;
+    slot.seq.store(p + slots_.size(), std::memory_order_release);
   }
-  if (take == 0) return false;
-  tail_.store(tail + take, std::memory_order_release);
+  if (boxes.empty()) return false;
+  if (extra > 0) extra_keys_.fetch_sub(extra, std::memory_order_relaxed);
+  tail_.store(tail + boxes.size(), std::memory_order_release);
   lock.unlock();  // claim done; execution needs no combiner exclusivity
 
-  if (use_pool()) {
-    // Count the task in inflight_ so the dispatcher's shutdown wait (and
-    // therefore the destructor) covers fast-path pool tasks too — the
-    // task touches `this` (stats_, holds_) after publishing results.
-    {
-      std::lock_guard<std::mutex> count_lock(mu_);
-      ++inflight_;
-    }
-    auto task = std::make_shared<std::pair<std::vector<std::size_t>,
-                                           std::vector<Mailbox*>>>(keys,
-                                                                   boxes);
-    util::global_pool().submit([this, oldest_ns, task] {
-      execute_fast_batch(task->first, task->second, oldest_ns);
-      {
-        std::lock_guard<std::mutex> count_lock(mu_);
-        --inflight_;
-      }
-      inflight_cv_.notify_all();
-    });
-  } else {
-    // By reference: the thread_local scratch stays owned here, so the
-    // inline steady state really is allocation-free.
-    execute_fast_batch(keys, boxes, oldest_ns);
-  }
+  // By reference: the thread_local scratch stays owned here, so the
+  // steady state allocates no batch list.
+  execute_batch(boxes);
   return true;
 }
 
-void AsyncLookupService::execute_fast_batch(
-    const std::vector<std::size_t>& keys, const std::vector<Mailbox*>& boxes,
-    std::int64_t oldest_ns) {
-  BatchHold* hold = acquire_hold();
-  hold->error = nullptr;
+std::shared_ptr<LookupResult> AsyncLookupService::acquire_result() {
+  std::unique_ptr<LookupResult> result;
+  {
+    std::lock_guard<std::mutex> lock(results_->mu);
+    if (!results_->free.empty()) {
+      result = std::move(results_->free.back());
+      results_->free.pop_back();
+    }
+  }
+  if (!result) result = std::make_unique<LookupResult>();
+  return std::shared_ptr<LookupResult>(
+      result.release(), [freelist = results_](LookupResult* r) {
+        std::lock_guard<std::mutex> lock(freelist->mu);
+        freelist->free.emplace_back(r);
+      });
+}
+
+void AsyncLookupService::execute_batch(const std::vector<Mailbox*>& boxes) {
+  // Group keys by kind, preserving arrival order within each group; one
+  // lookup per non-empty group, shared by every waiter of that kind.
+  thread_local std::vector<std::size_t> ids;
+  thread_local std::vector<std::string> words;
+  ids.clear();
+  words.clear();
+  std::int64_t oldest_ns = 0;
+  const Mailbox* traced = nullptr;
+  for (const Mailbox* box : boxes) {
+    if (box->words_kind) {
+      words.insert(words.end(), box->words.begin(), box->words.end());
+    } else {
+      ids.insert(ids.end(), box->ids.begin(), box->ids.end());
+    }
+    if (box->enqueued_ns != 0 &&
+        (oldest_ns == 0 || box->enqueued_ns < oldest_ns)) {
+      oldest_ns = box->enqueued_ns;
+    }
+    if (traced == nullptr && box->trace.sampled()) traced = box;
+  }
+  const std::size_t keys = ids.size() + words.size();
+
+  // One batch may carry several traced requests; each gets its own
+  // batch_queue / batch_exec spans against the shared execution window.
+  const std::uint64_t exec_start_ns =
+      traced != nullptr ? obs::Tracer::now_ns() : 0;
+  std::shared_ptr<const LookupResult> id_result, word_result;
+  std::exception_ptr error;
   try {
-    service_.lookup_ids_into(keys, &hold->result);
+    // The thread-local Scope lets LookupService (whose API predates
+    // tracing) attribute its dequantize span to this batch's trace.
+    std::optional<obs::Tracer::Scope> scope;
+    if (traced != nullptr) scope.emplace(traced->trace);
+    if (!ids.empty()) {
+      std::shared_ptr<LookupResult> result = acquire_result();
+      service_.lookup_ids_into(ids, result.get());
+      id_result = std::move(result);
+    }
+    if (!words.empty()) {
+      std::shared_ptr<LookupResult> result = acquire_result();
+      service_.lookup_words_into(words, result.get());
+      word_result = std::move(result);
+    }
   } catch (...) {
-    hold->error = std::current_exception();
+    error = std::current_exception();
   }
-  hold->refs.store(static_cast<std::uint32_t>(boxes.size()),
-                   std::memory_order_relaxed);
-  if (!hold->error) {
-    // Aliasing shared_ptr: slices share `hold->result` and the deleter
-    // recycles the hold once the last slice is gone. Capturing the
-    // freelist by shared_ptr keeps the buffer memory valid even if the
-    // service dies first.
-    hold->self = std::shared_ptr<const LookupResult>(
-        &hold->result, [fl = holds_, hold](const LookupResult*) {
-          std::lock_guard<std::mutex> lock(fl->mu);
-          fl->free.push_back(hold);
-        });
-  }
+
   // Stats BEFORE releasing the waiters: a caller whose get() returned
   // must find its own keys already counted in a subsequent stats read
   // (the RPC test observes exactly this ordering over the wire).
-  if (!hold->error) {
+  if (!error) {
     if (oldest_ns == 0) {
       // No sampled timestamp in this batch — count it without polluting
       // the latency ring with a fake 0 µs entry.
-      stats_->record_batch_unsampled(boxes.size());
+      stats_->record_batch_unsampled(keys);
       if (config_.windowed != nullptr) {
-        config_.windowed->record_unsampled(boxes.size(), 0);
+        config_.windowed->record_unsampled(keys, 0);
       }
     } else {
       const double latency_us =
           static_cast<double>(now_ns() - oldest_ns) / 1000.0;
-      stats_->record_batch(boxes.size(), latency_us);
+      stats_->record_batch(keys, latency_us);
       if (config_.windowed != nullptr) {
-        config_.windowed->record_many(latency_us, boxes.size(), 0);
+        config_.windowed->record_many(latency_us, keys, 0);
       }
     }
   }
-  const std::uint32_t state = hold->error ? 2 : 1;
-  for (std::size_t k = 0; k < boxes.size(); ++k) {
-    Mailbox* box = boxes[k];
-    box->offset = static_cast<std::uint32_t>(k);
-    box->hold = hold;
-    box->state.store(state, std::memory_order_release);
-    // No notify: waiters poll with bounded sleeps (see await_and_consume),
-    // so completion costs no syscall per request.
-  }
-}
-
-void AsyncLookupService::await_and_consume(Mailbox* box,
-                                           std::int64_t deadline_ns,
-                                           ResultSlice* out) {
-  std::uint32_t state = box->state.load(std::memory_order_acquire);
-  if (state == 0) {
-    // Phase 1: optimistic spin — under pipelined load the combiner is at
-    // most one batch away.
-    for (int i = 0; i < 2048 && state == 0; ++i) {
-      cpu_relax();
-      state = box->state.load(std::memory_order_acquire);
-    }
-    // Phase 2: honor the latency policy. A FULL pending batch is always
-    // combined immediately (no latency tradeoff — waiting cannot make it
-    // fuller); an underfull one waits for the deadline. Yields come
-    // before sleeps: on a busy host another producer or combiner runs on
-    // the yielded slice, and nanosleep's timer slack (tens of µs) is paid
-    // only once traffic is genuinely idle.
-    if (state == 0 && deadline_ns == 0) {
-      deadline_ns =
-          now_ns() + static_cast<std::int64_t>(config_.max_wait_us) * 1000;
-    }
-    std::uint64_t last_pending = 0;
-    std::uint32_t stable = 0;
-    while (state == 0) {
-      const std::uint64_t pending =
-          head_.load(std::memory_order_relaxed) -
-          tail_.load(std::memory_order_relaxed);
-      if (pending >= config_.max_batch_size) {
-        // A full batch can only be executed, never improved by waiting.
-        combine_once();
-        stable = 0;
-      } else if (pending > 0 &&
-                 (now_ns() >= deadline_ns ||
-                  (pending == last_pending && ++stable >= 2))) {
-        // Adaptive early flush: waiting is only useful while requests
-        // are still ARRIVING to fill the batch. If pending stops growing
-        // across two observation spins, every producer is idle or itself
-        // blocked waiting — in the worst case all clients block with an
-        // underfull batch and nobody executes until max_wait expires,
-        // stalling the whole pipeline. Flush on quiescence instead;
-        // max_wait stays the upper bound for trickling arrivals.
-        if (!combine_once()) {
-          std::this_thread::sleep_for(std::chrono::microseconds(2));
-        }
-        stable = 0;
-      } else if (pending == 0) {
-        // Our batch is claimed and executing on another thread (or a pool
-        // task). Sleep LONG: frequent micro-sleeps would wake us with
-        // scheduler preemption credit and starve the very executor we
-        // are waiting for (it only needs a few µs of CPU).
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        stable = 0;
-      } else {
-        // Underfull and growing: give arrivals a short observation spin
-        // before re-checking (no syscall while traffic is live).
-        last_pending = pending;
-        for (int i = 0; i < 256; ++i) cpu_relax();
-      }
-      state = box->state.load(std::memory_order_acquire);
+  if (traced != nullptr) {
+    const std::uint64_t exec_end_ns = obs::Tracer::now_ns();
+    obs::Tracer& tracer = obs::Tracer::instance();
+    for (const Mailbox* box : boxes) {
+      if (!box->trace.sampled()) continue;
+      tracer.record(box->trace, obs::TraceStage::kBatchQueue,
+                    static_cast<std::uint64_t>(box->enqueued_ns),
+                    exec_start_ns);
+      tracer.record(box->trace, obs::TraceStage::kBatchExec, exec_start_ns,
+                    exec_end_ns);
     }
   }
 
-  BatchHold* hold = box->hold;
-  std::exception_ptr error = state == 2 ? hold->error : nullptr;
-  if (out != nullptr && state == 1) {
-    *out = ResultSlice(hold->self, box->offset, 1);
-  }
-  // Drop the batch's consumer reference; the last consumer releases the
-  // hold (directly to the freelist on error — no slices exist then).
-  if (hold->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (state == 2) {
-      std::lock_guard<std::mutex> lock(holds_->mu);
-      holds_->free.push_back(hold);
+  std::size_t id_off = 0, word_off = 0;
+  for (Mailbox* box : boxes) {
+    const std::size_t n = box->size();
+    if (error) {
+      box->error = error;
+    } else if (box->words_kind) {
+      box->slice = ResultSlice(word_result, word_off, n);
+      word_off += n;
     } else {
-      hold->self.reset();
+      box->slice = ResultSlice(id_result, id_off, n);
+      id_off += n;
+    }
+    complete(box);  // the box may be recycled from here on
+  }
+}
+
+// ---- waiters --------------------------------------------------------------
+
+bool AsyncLookupService::await(Mailbox* box) {
+  const std::int64_t wait_ns =
+      static_cast<std::int64_t>(config_.max_wait_us) * 1000;
+  // Unsampled requests pin their deadline lazily, at the first look.
+  std::int64_t deadline_ns =
+      box->enqueued_ns != 0 ? box->enqueued_ns + wait_ns : 0;
+  std::uint64_t last_queued = 0;
+  int spins = 0;
+  bool parked = false;
+  while (box->state.load(std::memory_order_acquire) != Mailbox::kDone) {
+    if (tail_.load(std::memory_order_acquire) > box->pos) {
+      // Claimed: another thread is executing the request's batch. Spin a
+      // little, then park until its combiner completes the box.
+      if (++spins < kSpinsBeforePark) {
+        cpu_relax();
+        continue;
+      }
+      std::uint32_t expected = Mailbox::kPending;
+      if (box->state.compare_exchange_strong(expected, Mailbox::kParked,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+        parked = true;
+        box->state.wait(Mailbox::kParked, std::memory_order_acquire);
+      }
+      continue;
+    }
+    // Queued: flush policy. Flush at once when the batch is full
+    // (waiting cannot make it fuller) or when no request arrived after
+    // this one — the newest waiter combines everything queued before it,
+    // so a lone request never waits. Otherwise newer requests are still
+    // arriving: wait while the queue keeps growing, and flush once one
+    // look sees it stop (their holders are idle or not waiting yet) or
+    // when the oldest waiter's max_wait expires.
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    const std::uint64_t queued =
+        head - tail + extra_keys_.load(std::memory_order_relaxed);
+    if (deadline_ns == 0) deadline_ns = now_ns() + wait_ns;
+    if (queued >= config_.max_batch_size || head == box->pos + 1 ||
+        queued == last_queued || now_ns() >= deadline_ns) {
+      // A busy lock means another thread is claiming right now; a failed
+      // claim means a preempted producer holds the next slot. Either way
+      // the yield hands the core to whoever can make progress.
+      if (!combine_once()) std::this_thread::yield();
+    } else {
+      last_queued = queued;
+      for (int i = 0; i < kObserveSpins; ++i) cpu_relax();
     }
   }
-  free_box(box);
-  if (out != nullptr && error) std::rethrow_exception(error);
-}
-
-AsyncLookupService::BatchHold* AsyncLookupService::acquire_hold() {
-  std::lock_guard<std::mutex> lock(holds_->mu);
-  if (!holds_->free.empty()) {
-    BatchHold* hold = holds_->free.back();
-    holds_->free.pop_back();
-    return hold;
-  }
-  holds_->all.push_back(std::make_unique<BatchHold>());
-  return holds_->all.back().get();
-}
-
-bool AsyncLookupService::SliceFuture::ready() const {
-  return owner_ != nullptr &&
-         box_->state.load(std::memory_order_acquire) != 0;
-}
-
-ResultSlice AsyncLookupService::SliceFuture::get() {
-  ANCHOR_CHECK_MSG(owner_ != nullptr, "SliceFuture::get on consumed future");
-  AsyncLookupService* owner = owner_;
-  owner_ = nullptr;
-  ResultSlice slice;
-  owner->await_and_consume(box_, deadline_ns_, &slice);
-  return slice;
-}
-
-void AsyncLookupService::SliceFuture::consume_if_pending() {
-  if (owner_ == nullptr) return;
-  AsyncLookupService* owner = owner_;
-  owner_ = nullptr;
-  owner->await_and_consume(box_, deadline_ns_, nullptr);
-}
-
-// ---- general path ------------------------------------------------------
-
-std::future<ResultSlice> AsyncLookupService::enqueue(Request req) {
-  req.enqueued = std::chrono::steady_clock::now();
-  std::future<ResultSlice> fut = req.promise.get_future();
-  bool notify = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      req.promise.set_exception(std::make_exception_ptr(std::runtime_error(
-          "AsyncLookupService: request after shutdown")));
-      return fut;
-    }
-    // Wake the dispatcher only on the transitions it can act on: queue
-    // became non-empty (it may be sleeping with nothing to wait for) or
-    // the batch just filled (it is otherwise sleeping until the age
-    // deadline and would flush late).
-    const bool was_empty = queue_.empty();
-    queued_keys_ += req.key_count;
-    queue_.push_back(std::move(req));
-    notify = was_empty || queued_keys_ >= config_.max_batch_size;
-  }
-  if (notify) cv_.notify_one();
-  return fut;
-}
-
-std::future<ResultSlice> AsyncLookupService::lookup_word(std::string word) {
-  Request req;
-  req.kind = Request::Kind::kWord;
-  req.word = std::move(word);
-  req.key_count = 1;
-  return enqueue(std::move(req));
-}
-
-std::future<ResultSlice> AsyncLookupService::lookup_ids(
-    std::vector<std::size_t> ids) {
-  Request req;
-  req.kind = Request::Kind::kIds;
-  req.key_count = ids.size();
-  req.ids = std::move(ids);
-  return enqueue(std::move(req));
-}
-
-std::future<ResultSlice> AsyncLookupService::lookup_words(
-    std::vector<std::string> words) {
-  Request req;
-  req.kind = Request::Kind::kWords;
-  req.key_count = words.size();
-  req.words = std::move(words);
-  return enqueue(std::move(req));
-}
-
-std::future<ResultSlice> AsyncLookupService::lookup_ids(
-    std::vector<std::size_t> ids, const obs::TraceContext& trace) {
-  Request req;
-  req.kind = Request::Kind::kIds;
-  req.key_count = ids.size();
-  req.ids = std::move(ids);
-  req.trace = trace;
-  return enqueue(std::move(req));
-}
-
-std::future<ResultSlice> AsyncLookupService::lookup_words(
-    std::vector<std::string> words, const obs::TraceContext& trace) {
-  Request req;
-  req.kind = Request::Kind::kWords;
-  req.key_count = words.size();
-  req.words = std::move(words);
-  req.trace = trace;
-  return enqueue(std::move(req));
+  return parked;
 }
 
 std::size_t AsyncLookupService::pending() const {
@@ -486,170 +448,39 @@ std::size_t AsyncLookupService::pending() const {
   // reverse order could observe tail > the stale head and wrap).
   const std::uint64_t tail = tail_.load(std::memory_order_acquire);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::size_t ring_pending =
-      head > tail ? static_cast<std::size_t>(head - tail) : 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_pending + queue_.size();
+  return head > tail ? static_cast<std::size_t>(head - tail) : 0;
 }
 
-void AsyncLookupService::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (queue_.empty()) {
-      if (stop_) break;
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      continue;
-    }
-    // Wait for a full batch or for the oldest request to age out. On stop
-    // the remaining queue flushes immediately — every accepted request is
-    // served, so a future handed out is always eventually ready.
-    if (!stop_ && queued_keys_ < config_.max_batch_size) {
-      const auto deadline = queue_.front().enqueued +
-                            std::chrono::microseconds(config_.max_wait_us);
-      while (!stop_ && queued_keys_ < config_.max_batch_size) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-      if (queue_.empty()) continue;
-    }
-
-    // Drain whole requests until the key budget is spent. Requests are
-    // never split; an oversized request flushes alone.
-    std::vector<Request> batch;
-    std::size_t keys = 0;
-    while (!queue_.empty()) {
-      const std::size_t next = queue_.front().key_count;
-      if (!batch.empty() && keys + next > config_.max_batch_size) break;
-      keys += next;
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      if (keys >= config_.max_batch_size) break;
-    }
-    queued_keys_ -= keys;
-
-    if (use_pool()) {
-      inflight_cv_.wait(
-          lock, [this] { return inflight_ < config_.max_inflight_batches; });
-      ++inflight_;
-      lock.unlock();
-      // shared_ptr because std::function requires copyable callables.
-      auto shared_batch =
-          std::make_shared<std::vector<Request>>(std::move(batch));
-      util::global_pool().submit(
-          [this, shared_batch] { run_batch(std::move(*shared_batch)); });
-    } else {
-      ++inflight_;
-      lock.unlock();
-      run_batch(std::move(batch));
-    }
-    lock.lock();
-  }
-  // Queue is empty and stop_ is set; wait for pool-executed batches so
-  // the destructor can return with no task still referencing `this`.
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+bool AsyncLookupService::SliceFuture::ready() const {
+  return box_ != nullptr &&
+         box_->state.load(std::memory_order_acquire) == Mailbox::kDone;
 }
 
-void AsyncLookupService::run_batch(std::vector<Request> batch) {
-  // Group keys by kind, preserving arrival order within each group; one
-  // lookup per non-empty group, shared by every waiter of that kind.
-  thread_local std::vector<std::size_t> ids;
-  thread_local std::vector<std::string> words;
-  ids.clear();
-  words.clear();
-  std::size_t keys = 0;
-  auto oldest = batch.front().enqueued;
-  for (const Request& r : batch) {
-    keys += r.key_count;
-    if (r.enqueued < oldest) oldest = r.enqueued;
-    switch (r.kind) {
-      case Request::Kind::kIds:
-        ids.insert(ids.end(), r.ids.begin(), r.ids.end());
-        break;
-      case Request::Kind::kWord:
-        words.push_back(r.word);
-        break;
-      case Request::Kind::kWords:
-        words.insert(words.end(), r.words.begin(), r.words.end());
-        break;
-    }
+ResultSlice AsyncLookupService::SliceFuture::get() {
+  ANCHOR_CHECK_MSG(valid(), "SliceFuture::get on consumed future");
+  ResultSlice slice;
+  if (std::exception_ptr error = consume(&slice)) {
+    std::rethrow_exception(error);
   }
+  return slice;
+}
 
-  // One batch may carry several traced requests; each gets its own
-  // batch_queue / batch_exec spans against the shared execution window.
-  const Request* traced = nullptr;
-  for (const Request& r : batch) {
-    if (r.trace.sampled()) {
-      traced = &r;
-      break;
-    }
+std::exception_ptr AsyncLookupService::SliceFuture::consume(
+    ResultSlice* out) {
+  if (box_ == nullptr) return nullptr;
+  Mailbox* box = box_;
+  box_ = nullptr;
+  // A ready box is consumed without touching the service, which may be
+  // gone by now (its destructor completed every box).
+  const bool parked =
+      box->state.load(std::memory_order_acquire) != Mailbox::kDone &&
+      owner_->await(box);
+  std::exception_ptr error = std::move(box->error);
+  if (out != nullptr) *out = std::move(box->slice);
+  if (!parked || box->handoff.fetch_add(1, std::memory_order_acq_rel) == 1) {
+    free_box(box);
   }
-  const std::uint64_t exec_start_ns =
-      traced != nullptr ? obs::Tracer::now_ns() : 0;
-
-  std::shared_ptr<LookupResult> id_result, word_result;
-  std::exception_ptr error;
-  try {
-    // The thread-local Scope lets LookupService (whose API predates
-    // tracing) attribute its dequantize span to this batch's trace.
-    std::optional<obs::Tracer::Scope> scope;
-    if (traced != nullptr) scope.emplace(traced->trace);
-    if (!ids.empty()) {
-      id_result = std::make_shared<LookupResult>();
-      service_.lookup_ids_into(ids, id_result.get());
-    }
-    if (!words.empty()) {
-      word_result = std::make_shared<LookupResult>();
-      service_.lookup_words_into(words, word_result.get());
-    }
-  } catch (...) {
-    error = std::current_exception();
-  }
-
-  // Stats before fulfilling the promises, for the same
-  // caller-sees-its-own-lookup ordering the fast path guarantees.
-  if (!error) {
-    const double latency_us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - oldest)
-                                  .count();
-    stats_->record_batch(keys, latency_us);
-    if (config_.windowed != nullptr) {
-      config_.windowed->record_many(latency_us, keys, 0);
-    }
-  }
-
-  if (traced != nullptr) {
-    const std::uint64_t exec_end_ns = obs::Tracer::now_ns();
-    obs::Tracer& tracer = obs::Tracer::instance();
-    for (const Request& r : batch) {
-      if (!r.trace.sampled()) continue;
-      tracer.record(r.trace, obs::TraceStage::kBatchQueue,
-                    static_cast<std::uint64_t>(
-                        r.enqueued.time_since_epoch().count()),
-                    exec_start_ns);
-      tracer.record(r.trace, obs::TraceStage::kBatchExec, exec_start_ns,
-                    exec_end_ns);
-    }
-  }
-
-  std::size_t id_off = 0, word_off = 0;
-  for (Request& r : batch) {
-    if (error) {
-      r.promise.set_exception(error);
-      continue;
-    }
-    if (r.kind == Request::Kind::kIds) {
-      r.promise.set_value(ResultSlice(id_result, id_off, r.key_count));
-      id_off += r.key_count;
-    } else {
-      r.promise.set_value(ResultSlice(word_result, word_off, r.key_count));
-      word_off += r.key_count;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
-  }
-  inflight_cv_.notify_all();
+  return error;
 }
 
 }  // namespace anchor::serve

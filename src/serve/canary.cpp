@@ -306,34 +306,17 @@ bool CanaryRouter::shadows_key(std::size_t key) const {
          shadow_threshold_;
 }
 
-/// One in-flight sub-lookup: the single-key ring fast path when the
-/// subset is one id, the general promise path otherwise (words always
-/// take the general path).
-struct CanaryRouter::Pending {
-  AsyncLookupService::SliceFuture fast;
-  std::future<ResultSlice> general;
-  bool use_fast = false;
-  bool valid = false;
-
-  void issue(AsyncLookupService& svc, std::vector<std::size_t> keys) {
-    if (keys.empty()) return;
-    valid = true;
-    if (keys.size() == 1) {
-      use_fast = true;
-      fast = svc.lookup_id(keys[0]);
-    } else {
-      general = svc.lookup_ids(std::move(keys));
-    }
-  }
-  void issue(AsyncLookupService& svc, std::vector<std::string> words) {
-    if (words.empty()) return;
-    valid = true;
-    general = svc.lookup_words(std::move(words));
-  }
-  ResultSlice get() { return use_fast ? fast.get() : general.get(); }
-};
-
 namespace {
+
+/// One sub-lookup through an async stack, by key type.
+AsyncLookupService::SliceFuture submit(AsyncLookupService& svc,
+                                       std::vector<std::size_t> ids) {
+  return svc.lookup_ids(std::move(ids));
+}
+AsyncLookupService::SliceFuture submit(AsyncLookupService& svc,
+                                       std::vector<std::string> words) {
+  return svc.lookup_words(std::move(words));
+}
 
 /// Scatters slice row r → out row slots[r] for every r.
 void scatter_slice(const ResultSlice& slice,
@@ -401,14 +384,13 @@ void CanaryRouter::route_into(const std::vector<Key>& keys,
     inflight.release();  // incumbent-only from here; don't stall a drain
     // Terminal (or about to be replaced): everything follows the store's
     // live version through the shared front-end.
-    Pending p;
-    if (!keys.empty()) p.issue(incumbent_traffic_, std::vector<Key>(keys));
     out->dim = 0;
     out->vectors.clear();
     out->oov.clear();
     out->version.clear();
-    if (!p.valid) return;
-    const ResultSlice slice = p.get();
+    if (keys.empty()) return;
+    const ResultSlice slice =
+        submit(incumbent_traffic_, std::vector<Key>(keys)).get();
     out->dim = slice.dim();
     out->version = slice.version();
     out->vectors.assign(keys.size() * slice.dim(), 0.0f);
@@ -459,31 +441,25 @@ void CanaryRouter::route_into(const std::vector<Key>& keys,
   const std::size_t inc_only = inc_keys.size();
   inc_keys.insert(inc_keys.end(), shadow_keys.begin(), shadow_keys.end());
   const auto t0 = std::chrono::steady_clock::now();
-  Pending cand, inc;
-  cand.issue(candidate_async_, std::move(cand_keys));
-  inc.issue(incumbent_traffic_, std::move(inc_keys));
+  AsyncLookupService::SliceFuture cand =
+      submit(candidate_async_, std::move(cand_keys));
+  AsyncLookupService::SliceFuture inc =
+      submit(incumbent_traffic_, std::move(inc_keys));
 
   // Incumbent first, then candidate: cand_us − inc_us is then the
   // non-negative completion skew — how much later the candidate side's
   // answer arrived than the incumbent side's, queue wait included (0
-  // when the candidate was already done).
-  ResultSlice inc_slice;
-  double inc_us = 0.0;
-  if (inc.valid) {
-    inc_slice = inc.get();
-    inc_us = elapsed_us(t0);
-    scatter_slice(ResultSlice(inc_slice.batch(), inc_slice.first(), inc_only),
-                  inc_slots, out);
-  }
-  ResultSlice cand_slice;
-  double cand_us = 0.0;
-  if (cand.valid) {
-    cand_slice = cand.get();
-    cand_us = elapsed_us(t0);
-    scatter_slice(cand_slice, cand_slots, out);
-  }
+  // when the candidate was already done). An empty side resolves at once
+  // to an empty slice.
+  const ResultSlice inc_slice = inc.get();
+  const double inc_us = elapsed_us(t0);
+  scatter_slice(ResultSlice(inc_slice.batch(), inc_slice.first(), inc_only),
+                inc_slots, out);
+  const ResultSlice cand_slice = cand.get();
+  const double cand_us = elapsed_us(t0);
+  scatter_slice(cand_slice, cand_slots, out);
 
-  if (!shadow_keys.empty() && cand.valid) {
+  if (!shadow_keys.empty()) {
     const ResultSlice mirror(inc_slice.batch(), inc_slice.first() + inc_only,
                              shadow_keys.size());
     score_shadows(self_probe_ids(shadow_keys), shadow_cand_rows, cand_slice,

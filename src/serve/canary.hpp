@@ -87,7 +87,9 @@ struct CanaryConfig {
   /// set routes identically across runs and router instances.
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   /// Candidate-side serving stack (the canary's own LookupService →
-  /// AsyncLookupService over the pinned candidate snapshot).
+  /// AsyncLookupService over the pinned candidate snapshot). It owns no
+  /// thread: candidate batches run on the routing threads that wait on
+  /// them, like every AsyncLookupService batch.
   LookupConfig candidate_lookup;
   BatcherConfig candidate_batcher;
   /// When set, the candidate-side stack records into these shared
@@ -275,11 +277,9 @@ class CanaryRouter {
   std::string decision_reason() const;
 
  private:
-  struct Pending;  // one in-flight sub-lookup (fast or general path)
-
   /// Shared body of lookup_ids_into / lookup_words_into: Key is
   /// std::size_t or std::string; everything key-specific (routing hash,
-  /// fast-path eligibility, probe self-exclusion) resolves through
+  /// sub-lookup submission, probe self-exclusion) resolves through
   /// overloads in the .cpp.
   template <typename Key>
   void route_into(const std::vector<Key>& keys, LookupResult* out);

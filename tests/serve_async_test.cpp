@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <deque>
+#include <chrono>
 #include <future>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "serve/demo_store.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace anchor::serve {
 namespace {
@@ -153,35 +156,59 @@ TEST_F(AsyncLookupTest, EmptyRequestResolvesToEmptySlice) {
   EXPECT_EQ(slice.size(), 0u);
 }
 
-TEST_F(AsyncLookupTest, DestructorDrainsQueuedGeneralRequests) {
-  // General (promise) path only: std::futures outlive the service and
-  // must still complete because destruction drains the dispatcher queue.
+TEST_F(AsyncLookupTest, DestructorDrainsQueuedRequestsOfEveryKind) {
+  // Futures of every request kind outlive the service and must still
+  // complete, bit-identical to the direct service, because destruction
+  // flushes the ring.
   LookupService service(store_);
   BatcherConfig config;
   config.max_batch_size = 4096;           // nothing flushes on size...
   config.max_wait_us = 60 * 1000 * 1000;  // ...or on age
-  std::vector<std::future<ResultSlice>> futures;
+  const std::vector<std::size_t> ids = {0, 5, kVocab + 7, 42};
+  const std::vector<std::string> words = {"w1", "definitely-oov", "w9"};
+  const std::vector<std::size_t> traced_ids = {3, 4};
+  std::vector<AsyncLookupService::SliceFuture> singles;
+  AsyncLookupService::SliceFuture multi, word, word_list, traced;
   {
     AsyncLookupService async(service, config);
     for (std::size_t i = 0; i < 64; ++i) {
-      futures.push_back(async.lookup_ids({i}));
+      singles.push_back(async.lookup_id(i));
     }
-    // Destruction must flush the queue: every future still completes.
+    multi = async.lookup_ids(ids);
+    word = async.lookup_word("w3");
+    word_list = async.lookup_words(words);
+    traced = async.lookup_ids(traced_ids, obs::TraceContext::start());
+    EXPECT_FALSE(traced.ready());
+    EXPECT_EQ(async.pending(), 68u);
+    // Destruction must flush the ring: every future still completes.
   }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    ResultSlice slice = futures[i].get();
-    ASSERT_EQ(slice.size(), 1u);
-    EXPECT_FALSE(slice.oov(0));
-    EXPECT_EQ(slice.row(0)[0], service.lookup_ids({i}).row(0)[0]);
+  const auto expect_identical = [](const ResultSlice& slice,
+                                   const LookupResult& want) {
+    ASSERT_EQ(slice.size(), want.size());
+    EXPECT_EQ(slice.version(), want.version);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(slice.oov(i), want.oov[i] != 0);
+      for (std::size_t d = 0; d < kDim; ++d) {
+        EXPECT_EQ(slice.row(i)[d], want.row(i)[d]);
+      }
+    }
+  };
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    ASSERT_TRUE(singles[i].ready());
+    expect_identical(singles[i].get(), service.lookup_ids({i}));
   }
+  expect_identical(multi.get(), service.lookup_ids(ids));
+  expect_identical(word.get(), service.lookup_words({"w3"}));
+  expect_identical(word_list.get(), service.lookup_words(words));
+  expect_identical(traced.get(), service.lookup_ids(traced_ids));
 }
 
 TEST_F(AsyncLookupTest, UnconsumedSliceFuturesAreConsumedByTheirDtor) {
   LookupService service(store_);
   AsyncLookupService async(service);
   {
-    // Abandoned fast-path futures: their destructors must consume the
-    // ring slots (blocking until executed) so the ring never leaks slots.
+    // Abandoned futures: their destructors must consume the ring slots
+    // (blocking until executed) so the ring never leaks slots.
     std::vector<AsyncLookupService::SliceFuture> abandoned;
     for (std::size_t i = 0; i < 100; ++i) {
       abandoned.push_back(async.lookup_id(i % kVocab));
@@ -191,6 +218,36 @@ TEST_F(AsyncLookupTest, UnconsumedSliceFuturesAreConsumedByTheirDtor) {
   ResultSlice slice = async.lookup_id(3).get();
   EXPECT_EQ(slice.size(), 1u);
   EXPECT_EQ(async.pending(), 0u);
+}
+
+TEST_F(AsyncLookupTest, WaiterParksWhileAnotherThreadRunsItsBatch) {
+  // The main thread's request is claimed and run by another thread's
+  // combine. The lookup takes far longer than the waiter's spin, so get()
+  // parks on its Mailbox and must be woken by that combiner.
+  LookupService service(store_);
+  BatcherConfig config;
+  config.max_batch_size = 32768;  // the large request does not flush itself
+  AsyncLookupService async(service, config);
+  std::vector<std::size_t> ids(20000);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = (i * 31) % kVocab;
+  AsyncLookupService::SliceFuture large = async.lookup_ids(ids);
+  ResultSlice single;
+  // Newest in the ring, this waiter combines both requests at once.
+  std::thread combiner([&] { single = async.lookup_id(7).get(); });
+  while (async.pending() != 0) std::this_thread::yield();
+  const ResultSlice got = large.get();
+  combiner.join();
+
+  const LookupResult want = service.lookup_ids(ids);
+  ASSERT_EQ(got.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t d = 0; d < kDim; ++d) {
+      ASSERT_EQ(got.row(i)[d], want.row(i)[d]);
+    }
+  }
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single.row(0)[0], service.lookup_ids({7}).row(0)[0]);
+  EXPECT_EQ(async.stats().snapshot().batches, 1u);
 }
 
 TEST_F(AsyncLookupTest, SlicesOutliveTheServiceSafely) {
@@ -212,33 +269,69 @@ TEST(AsyncLookupErrors, LookupAgainstEmptyStoreRejectsTheFuture) {
   AsyncLookupService async(service);
   auto fut = async.lookup_id(0);
   EXPECT_THROW(fut.get(), std::exception);
-  // The dispatcher must survive a failed batch and keep serving: another
+  // The service must survive a failed batch and keep serving: another
   // request still completes (with the same error).
   auto fut2 = async.lookup_id(1);
   EXPECT_THROW(fut2.get(), std::exception);
 }
 
-TEST(AsyncLookupExec, InlineAndPoolExecutionAgree) {
+TEST(AsyncLookupPool, LookupsCompleteWhileEveryPoolWorkerIsBusy) {
+  // Batches run on the threads that wait for them, never as global-pool
+  // jobs, so lookups must not queue behind whatever occupies the pool (a
+  // running deployment gate, say). The wait is bounded so that a batcher
+  // that does depend on the pool fails here instead of hanging.
   EmbeddingStore store;
   SnapshotConfig q4;
   q4.bits = 4;
   store.add_version("live", random_embedding(kVocab, kDim, 21), q4);
   LookupService service(store);
+  AsyncLookupService async(service);
 
-  for (const auto exec :
-       {BatcherConfig::Exec::kInline, BatcherConfig::Exec::kPool}) {
-    BatcherConfig config;
-    config.exec = exec;
-    AsyncLookupService async(service, config);
-    for (std::size_t id : {std::size_t{0}, std::size_t{17}, kVocab - 1}) {
-      ResultSlice slice = async.lookup_id(id).get();
-      const LookupResult direct = service.lookup_ids({id});
-      ASSERT_EQ(slice.size(), 1u);
-      for (std::size_t d = 0; d < kDim; ++d) {
-        EXPECT_EQ(slice.row(0)[d], direct.row(0)[d]);
-      }
-    }
+  util::ThreadPool& pool = util::global_pool();
+  std::latch release(1);
+  std::atomic<std::size_t> occupied{0};
+  std::vector<std::future<void>> jobs;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    jobs.push_back(pool.submit([&] {
+      occupied.fetch_add(1);
+      release.wait();
+    }));
   }
+  while (occupied.load() < pool.size()) std::this_thread::yield();
+
+  std::vector<std::size_t> ids64(64);
+  for (std::size_t i = 0; i < ids64.size(); ++i) ids64[i] = (i * 7) % kVocab;
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::thread client([&] {
+    const auto check = [&](const ResultSlice& got, const LookupResult& want) {
+      if (got.size() != want.size()) {
+        ++mismatches;
+        return;
+      }
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        for (std::size_t d = 0; d < kDim; ++d) {
+          if (got.row(i)[d] != want.row(i)[d]) ++mismatches;
+        }
+      }
+    };
+    check(async.lookup_id(17).get(), service.lookup_ids({17}));
+    check(async.lookup_ids(ids64).get(), service.lookup_ids(ids64));
+    check(async.lookup_word("w3").get(), service.lookup_words({"w3"}));
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool completed_while_busy = done.load();
+  release.count_down();
+  client.join();
+  for (auto& job : jobs) job.get();
+  EXPECT_TRUE(completed_while_busy)
+      << "lookups waited for a free global-pool worker";
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // The synthetic demo store underpins the RPC example and the daemon's

@@ -1,5 +1,5 @@
 // Deterministic seeded stress for AsyncLookupService: N producer threads
-// issuing randomized mixes of single-key fast-path futures, multi-key id
+// issuing randomized mixes of single-key futures, multi-key id
 // requests, and word requests, with injected slow consumers that sit on
 // futures while the ring keeps moving. Every future must resolve and
 // every result must be bit-identical to a direct LookupService call —
@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <deque>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,8 +36,7 @@ struct InFlight {
   std::vector<std::size_t> ids;
   std::string word;
   std::vector<std::string> words;
-  AsyncLookupService::SliceFuture fast;
-  std::future<ResultSlice> general;
+  AsyncLookupService::SliceFuture future;
 };
 
 /// Bit-identical comparison of a resolved slice against the direct
@@ -88,19 +86,19 @@ class StressCase {
             LookupResult expected;
             switch (req.kind) {
               case InFlight::Kind::kFastId:
-                slice = req.fast.get();
+                slice = req.future.get();
                 direct.lookup_ids_into({req.id}, &expected);
                 break;
               case InFlight::Kind::kIds:
-                slice = req.general.get();
+                slice = req.future.get();
                 direct.lookup_ids_into(req.ids, &expected);
                 break;
               case InFlight::Kind::kWord:
-                slice = req.general.get();
+                slice = req.future.get();
                 direct.lookup_words_into({req.word}, &expected);
                 break;
               case InFlight::Kind::kWords:
-                slice = req.general.get();
+                slice = req.future.get();
                 direct.lookup_words_into(req.words, &expected);
                 break;
             }
@@ -116,20 +114,20 @@ class StressCase {
             if (pick < 0.45) {
               req.kind = InFlight::Kind::kFastId;
               req.id = rng.index(kVocab);
-              req.fast = async.lookup_id(req.id);
+              req.future = async.lookup_id(req.id);
             } else if (pick < 0.70) {
               req.kind = InFlight::Kind::kIds;
               const std::size_t n = 1 + rng.index(17);
               req.ids.resize(n);
               // ~6% of ids are out of vocabulary → zero/oov slots.
               for (auto& id : req.ids) id = rng.index(kVocab + 80);
-              req.general = async.lookup_ids(req.ids);
+              req.future = async.lookup_ids(req.ids);
             } else if (pick < 0.85) {
               req.kind = InFlight::Kind::kWord;
               req.word = rng.bernoulli(0.8)
                              ? "w" + std::to_string(rng.index(kVocab))
                              : "junk-" + std::to_string(rng.index(64));
-              req.general = async.lookup_word(req.word);
+              req.future = async.lookup_word(req.word);
             } else {
               req.kind = InFlight::Kind::kWords;
               const std::size_t n = 1 + rng.index(9);
@@ -139,14 +137,14 @@ class StressCase {
                         ? "w" + std::to_string(rng.index(kVocab + 60))
                         : "oov-" + std::to_string(rng.index(32));
               }
-              req.general = async.lookup_words(req.words);
+              req.future = async.lookup_words(req.words);
             }
             window.push_back(std::move(req));
             ++issued[static_cast<std::size_t>(t)];
 
             // Injected slow consumer: occasionally sit on the whole
-            // window while other producers keep the ring and dispatcher
-            // busy — slot reclamation must not depend on us consuming.
+            // window while other producers keep the ring busy — slot
+            // reclamation must not depend on us consuming.
             if (rng.bernoulli(0.02)) {
               std::this_thread::sleep_for(std::chrono::microseconds(
                   static_cast<int>(100 + rng.index(400))));
@@ -158,8 +156,8 @@ class StressCase {
       }
       for (auto& p : producers) p.join();
       for (const auto n : issued) issued_total += n;
-      // async destructor: drains the general queue; every fast-path
-      // future was consumed above.
+      // every future was consumed above, so the async destructor finds
+      // the ring empty.
     }
     EXPECT_EQ(mismatches.load(), 0u);
     // Every single future resolved (none lost, none stuck).

@@ -442,4 +442,32 @@ obs::HeatMapSnapshot decode_heat_map(WireReader* r);
 void encode_heat_report(const HeatReport& h, WireWriter* out);
 HeatReport decode_heat_report(WireReader* r);
 
+// ---- one encode() name for every reply payload --------------------------
+
+inline void encode(const serve::LookupResult& v, WireWriter* w) {
+  encode_lookup_result(v, w);
+}
+inline void encode(const serve::GateReport& v, WireWriter* w) {
+  encode_gate_report(v, w);
+}
+inline void encode(const ServerStatsReport& v, WireWriter* w) {
+  encode_server_stats(v, w);
+}
+inline void encode(const CanaryStatusReport& v, WireWriter* w) {
+  encode_canary_status(v, w);
+}
+inline void encode(const RolloutStatusReport& v, WireWriter* w) {
+  encode_rollout_status(v, w);
+}
+inline void encode(const ann::TopKResult& v, WireWriter* w) {
+  encode_topk_result(v, w);
+}
+inline void encode(const HeatReport& v, WireWriter* w) {
+  encode_heat_report(v, w);
+}
+inline void encode(const obs::MetricsReport& v, WireWriter* w) {
+  encode_metrics_report(v, w);
+}
+inline void encode(const std::string& v, WireWriter* w) { w->str(v); }
+
 }  // namespace anchor::net

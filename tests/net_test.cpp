@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -707,6 +708,434 @@ TEST(Wire, TraceExtensionRoundTripsOverLoopback) {
     sender.write_all(frame.data(), frame.size());
     EXPECT_THROW(read_frame(receiver, &type, &payload, &got), WireError);
   }
+}
+
+// ---- golden frames -----------------------------------------------------
+//
+// The exact bytes of one populated value of every request and reply
+// payload. Requests are captured off the wire from the real Client; each
+// reply is pinned twice: encode() of the value, and the Client's decode of
+// the pinned bytes (re-encoded). A change to any layout fails here.
+
+std::string to_hex(const std::uint8_t* p, std::size_t n) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += kDigits[p[i] >> 4];
+    s += kDigits[p[i] & 15];
+  }
+  return s;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+template <typename T>
+std::string payload_hex(const T& value) {
+  WireWriter w;
+  encode(value, &w);
+  return to_hex(w.buffer().data(), w.buffer().size());
+}
+
+/// One whole frame off `s`: length prefix, header, extension, payload.
+std::vector<std::uint8_t> read_raw_frame(TcpStream& s) {
+  std::vector<std::uint8_t> frame(4);
+  s.read_exact(frame.data(), 4);
+  std::uint32_t len = 0;
+  std::memcpy(&len, frame.data(), 4);
+  frame.resize(4 + len);
+  s.read_exact(frame.data() + 4, len);
+  return frame;
+}
+
+struct GoldenExchange {
+  std::string request;  // the whole request frame, hex
+  std::string reply;    // what `call` returned
+};
+
+/// Runs `call` on a Client against a stand-in server that records the
+/// request frame and answers with `reply_hex` as the payload of the
+/// request's reply type (request type | 0x80).
+GoldenExchange call_stand_in(const std::string& reply_hex,
+                        const std::function<std::string(Client&)>& call) {
+  TcpListener listener = TcpListener::bind_loopback(0);
+  Client client("127.0.0.1", listener.port(), 5000);
+  GoldenExchange out;
+  std::thread caller([&] {
+    try {
+      out.reply = call(client);
+    } catch (const std::exception& e) {
+      out.reply = std::string("threw: ") + e.what();
+    }
+  });
+  TcpStream conn = listener.accept(5000);
+  const std::vector<std::uint8_t> frame = read_raw_frame(conn);
+  out.request = to_hex(frame.data(), frame.size());
+  const std::vector<std::uint8_t> body = from_hex(reply_hex);
+  WireWriter reply;
+  reply.bytes(body.data(), body.size());
+  write_frame(conn, static_cast<MsgType>(frame[6] | 0x80), reply);
+  caller.join();
+  return out;
+}
+
+obs::HistogramSnapshot golden_histogram() {
+  obs::HistogramSnapshot h;
+  h.count = 3;
+  h.sum_units = 9000;
+  h.min_units = 1000;
+  h.max_units = 5000;
+  h.counts.assign(obs::LogHistogram::kNumBuckets, 0);
+  h.counts[3] = 1;
+  h.counts[300] = 2;
+  return h;
+}
+
+serve::LookupResult golden_lookup() {
+  serve::LookupResult r;
+  r.version = "v1";
+  r.dim = 2;
+  r.vectors = {1.5f, -2.0f, 0.25f, 8.0f};
+  r.oov = {0, 1};
+  return r;
+}
+
+serve::GateReport golden_gate() {
+  serve::GateReport g;
+  g.old_version = "v1";
+  g.new_version = "v2";
+  g.decision = serve::GateDecision::kWarn;
+  g.eis = 0.125;
+  g.one_minus_knn = 0.5;
+  g.rows_compared = 2048;
+  g.promoted = true;
+  g.reason = "warn";
+  return g;
+}
+
+ServerStatsReport golden_stats() {
+  ServerStatsReport s;
+  s.live_version = "v1";
+  s.encoding = "int8";
+  s.service.lookups = 7;
+  s.service.batches = 3;
+  s.service.oov_fallbacks = 1;
+  s.service.elapsed_seconds = 2.0;
+  s.service.qps = 3.5;
+  s.service.p50_latency_us = 10.0;
+  s.service.p99_latency_us = 20.0;
+  s.service.latency = golden_histogram();
+  s.batcher.lookups = 7;
+  s.batcher.batches = 2;
+  return s;
+}
+
+CanaryStatusReport golden_canary() {
+  CanaryStatusReport c;
+  c.state = serve::CanaryState::kRunning;
+  c.incumbent = "v1";
+  c.candidate = "v2";
+  c.fraction = 0.25;
+  c.shadow_rate = 0.5;
+  c.offline = golden_gate();
+  c.online.candidate_lookups = 10;
+  c.online.incumbent_lookups = 30;
+  c.online.shadows = 4;
+  c.online.mean_agreement = 0.75;
+  c.online.agreement_lower = 0.5;
+  c.online.agreement_upper = 1.0;
+  c.online.mean_displacement = 0.125;
+  c.online.mean_latency_delta_us = 3.5;
+  c.online.p50_agreement = 0.75;
+  c.online.p50_displacement = 0.125;
+  c.online.worst_keys = {{9, 0.5}};
+  c.reason = "watching";
+  return c;
+}
+
+RolloutStatusReport golden_rollout() {
+  RolloutStatusReport r;
+  r.state = RolloutState::kRunning;
+  r.candidate = "v2";
+  r.mode = 1;
+  r.map_version = 3;
+  r.shards = {{ShardRolloutState::kPromoted, "ok"},
+              {ShardRolloutState::kInProgress, ""}};
+  return r;
+}
+
+ann::TopKResult golden_topk() {
+  ann::TopKResult t;
+  t.version = "v1";
+  t.cells_probed = 4;
+  t.shortlist = 16;
+  t.flags = ann::kTopKFlagPartial;
+  t.hits = {{5, 0.5f, 0.75f}, {9, 1.0f, 1.25f}};
+  return t;
+}
+
+obs::MetricsReport golden_metrics() {
+  obs::MetricsReport m;
+  m.metrics.resize(3);
+  m.metrics[0].kind = obs::MetricKind::kCounter;
+  m.metrics[0].name = "c";
+  m.metrics[0].help = "h";
+  m.metrics[0].counter = 42;
+  m.metrics[1].kind = obs::MetricKind::kGauge;
+  m.metrics[1].name = "g";
+  m.metrics[1].gauge = 2.5;
+  m.metrics[2].kind = obs::MetricKind::kHistogram;
+  m.metrics[2].name = "l";
+  m.metrics[2].hist = golden_histogram();
+  return m;
+}
+
+HeatReport golden_heat() {
+  HeatReport h;
+  h.windowed.slice_us = 1'000'000;
+  h.windowed.now_us = 5'000'000;
+  h.windowed.slices.resize(2);
+  h.windowed.slices[0] = {3, 2, 1, golden_histogram()};
+  h.windowed.slices[1] = {4, 1, 0, obs::HistogramSnapshot{}};
+  h.sketch.capacity = 8;
+  h.sketch.total = 5;
+  h.sketch.entries = {{7, 3, 0}, {2, 2, 1}};
+  h.heat.total = 5;
+  h.heat.elapsed_us = 100;
+  h.heat.ranges = {{0, 100, {3, 2}}};
+  return h;
+}
+
+const std::string kGoldenLookup =
+    "02000000763102000000020000000000c03f000000c00000803e000000410001";
+const std::string kGoldenGate =
+    "0200000076310200000076320101000000000000c03f000000000000e03f0008"
+    "000000000000040000007761726e";
+const std::string kGoldenStats =
+    "0200000076310700000000000000030000000000000000000000000000000000"
+    "000000000000010000000000000000000000000000400000000000000c400000"
+    "000000002440000000000000344003000000000000002823000000000000e803"
+    "000000000000881300000000000002000000030001000000000000002c010200"
+    "0000000000000700000000000000020000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000004000000696e7438";
+const std::string kGoldenCanary =
+    "02020000007631020000007632000000000000d03f000000000000e03f020000"
+    "0076310200000076320101000000000000c03f000000000000e03f0008000000"
+    "000000040000007761726e0a000000000000001e000000000000000400000000"
+    "000000000000000000e83f000000000000e03f000000000000f03f0000000000"
+    "00c03f0000000000000c40000000000000e83f000000000000c03f0100000009"
+    "00000000000000000000000000e03f080000007761746368696e67";
+const std::string kGoldenRollout =
+    "010200000076320103000000000000000200000002020000006f6b0100000000"
+    "00000000";
+const std::string kGoldenTopK =
+    "0200000076310400000010000000010200000005000000000000000000003f00"
+    "00403f09000000000000000000803f0000a03f";
+const std::string kGoldenMetrics =
+    "0300000000010000006301000000682a00000000000000010100000067000000"
+    "00000000000000044002010000006c0000000003000000000000002823000000"
+    "000000e803000000000000881300000000000002000000030001000000000000"
+    "002c010200000000000000";
+const std::string kGoldenHeat =
+    "40420f0000000000404b4c000000000002000000030000000000000002000000"
+    "00000000010000000000000003000000000000002823000000000000e8030000"
+    "00000000881300000000000002000000030001000000000000002c0102000000"
+    "0000000004000000000000000100000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0800000000000000050000000000000002000000070000000000000003000000"
+    "0000000000000000000000000200000000000000020000000000000001000000"
+    "0000000005000000000000006400000000000000010000000000000000000000"
+    "64000000000000000200000003000000000000000200000000000000";
+const std::string kGoldenText =
+    "0800000064726f703d302e35";  // a string payload: "drop=0.5"
+
+TEST(WireGolden, ReplyPayloadBytesArePinned) {
+  EXPECT_EQ(payload_hex(golden_lookup()), kGoldenLookup);
+  EXPECT_EQ(payload_hex(golden_gate()), kGoldenGate);
+  EXPECT_EQ(payload_hex(golden_stats()), kGoldenStats);
+  EXPECT_EQ(payload_hex(golden_canary()), kGoldenCanary);
+  EXPECT_EQ(payload_hex(golden_rollout()), kGoldenRollout);
+  EXPECT_EQ(payload_hex(golden_topk()), kGoldenTopK);
+  EXPECT_EQ(payload_hex(golden_metrics()), kGoldenMetrics);
+  EXPECT_EQ(payload_hex(golden_heat()), kGoldenHeat);
+  EXPECT_EQ(payload_hex(std::string("drop=0.5")), kGoldenText);
+}
+
+TEST(WireGolden, RequestFramesAndReplyDecodesArePinned) {
+  struct Case {
+    const char* rpc;
+    std::string reply;  // reply payload the stand-in server sends
+    std::function<std::string(Client&)> call;
+    std::string request;  // the whole request frame
+  };
+  const std::vector<Case> cases = {
+      {"lookup_ids", kGoldenLookup,
+       [](Client& c) { return payload_hex(c.lookup_ids({3, 70000})); },
+       "18000000a70301000200000003000000000000007011010000000000"},
+      {"lookup_words", kGoldenLookup,
+       [](Client& c) { return payload_hex(c.lookup_words({"alpha", ""})); },
+       "15000000a70302000200000005000000616c70686100000000"},
+      {"topk_id", kGoldenTopK,
+       [](Client& c) { return payload_hex(c.topk_id(5, 10, 4, 32)); },
+       "1a000000a70310000a000000040000002000000000000500000000000000"},
+      {"topk_word", kGoldenTopK,
+       [](Client& c) { return payload_hex(c.topk_word("alpha", 3)); },
+       "1b000000a7031000030000000000000000000000000105000000616c706861"},
+      {"topk_vector", kGoldenTopK,
+       [](Client& c) {
+         TopKRequest req;
+         req.k = 2;
+         req.nprobe = 1;
+         req.rerank = 8;
+         req.mode = kTopKModeCandidates;
+         req.kind = kTopKKindVector;
+         req.vector = {1.5f, -2.0f};
+         return payload_hex(c.topk(req));
+       },
+       "1e000000a70310000200000001000000080000000102020000000000c03f000000c0"},
+      {"try_promote forced", kGoldenGate,
+       [](Client& c) { return payload_hex(c.try_promote("v2", true)); },
+       "0b000000a703030002000000763201"},
+      {"try_promote", kGoldenGate,
+       [](Client& c) { return payload_hex(c.try_promote("v2")); },
+       "0b000000a703030002000000763200"},
+      {"canary_start", kGoldenCanary,
+       [](Client& c) {
+         return payload_hex(c.canary_start("v2", 0.25, 0.5));
+       },
+       "1a000000a7030700020000007632000000000000d03f000000000000e03f"},
+      {"canary_status", kGoldenCanary,
+       [](Client& c) { return payload_hex(c.canary_status()); },
+       "04000000a7030800"},
+      {"canary_abort drained", kGoldenCanary,
+       [](Client& c) { return payload_hex(c.canary_abort(true)); },
+       "05000000a703090001"},
+      {"rollout_start", kGoldenRollout,
+       [](Client& c) {
+         return payload_hex(c.rollout_start("v2", 1, 0.25, 0.5));
+       },
+       "1b000000a7030a0002000000763201000000000000d03f000000000000e03f"},
+      {"rollout_status", kGoldenRollout,
+       [](Client& c) { return payload_hex(c.rollout_status()); },
+       "04000000a7030b00"},
+      {"rollout_abort undrained", kGoldenRollout,
+       [](Client& c) { return payload_hex(c.rollout_abort(false)); },
+       "05000000a7030c0000"},
+      {"shard_map", kGoldenText,
+       [](Client& c) { return payload_hex(c.shard_map()); },
+       "04000000a7030d00"},
+      {"fault_set", kGoldenText,
+       [](Client& c) { return payload_hex(c.fault_set("drop=0.5")); },
+       "10000000a7030f000800000064726f703d302e35"},
+      {"stats", kGoldenStats,
+       [](Client& c) { return payload_hex(c.stats()); }, "04000000a7030400"},
+      {"heat", kGoldenHeat,
+       [](Client& c) { return payload_hex(c.heat()); }, "04000000a7031100"},
+      {"metrics", kGoldenMetrics,
+       [](Client& c) { return payload_hex(c.metrics()); }, "04000000a7030e00"},
+      {"ping", "",
+       [](Client& c) {
+         c.ping();
+         return std::string();
+       },
+       "04000000a7030500"},
+      {"shutdown_server", "",
+       [](Client& c) {
+         c.shutdown_server();
+         return std::string();
+       },
+       "04000000a7030600"},
+      {"traced ping", "",
+       [](Client& c) {
+         obs::TraceContext ctx;
+         ctx.trace_id = 0x1122334455667788ull;
+         ctx.span_id = 0x99aabbccddeeff00ull;
+         c.set_next_trace(ctx);
+         c.ping();
+         return std::string();
+       },
+       "15000000a7030511887766554433221100ffeeddccbbaa9900"},
+  };
+  for (const Case& k : cases) {
+    const GoldenExchange got = call_stand_in(k.reply, k.call);
+    EXPECT_EQ(got.request, k.request) << k.rpc;
+    EXPECT_EQ(got.reply, k.reply) << k.rpc;
+  }
+}
+
+TEST(WireGolden, OptionalTrailingFieldsMayBeAbsent) {
+  // A StatsReply without the trailing encoding string (an older peer's
+  // reply) decodes with encoding "".
+  const std::string without_encoding =
+      kGoldenStats.substr(0, kGoldenStats.size() - 2 * (4 + 4));
+  const GoldenExchange got = call_stand_in(without_encoding, [](Client& c) {
+    const ServerStatsReport s = c.stats();
+    EXPECT_EQ(s.encoding, "");
+    EXPECT_EQ(s.live_version, "v1");
+    EXPECT_EQ(s.batcher.batches, 2u);
+    return std::string();
+  });
+  EXPECT_EQ(got.request, "04000000" "a7030400");
+
+  // TRY_PROMOTE without the force byte and CANARY_ABORT without the drain
+  // byte (older clients) are served like force = drain = false.
+  serve::EmbeddingStore store;
+  serve::DemoStoreConfig demo;
+  demo.vocab = 200;
+  demo.dim = 16;
+  demo.build_oov_table = false;
+  serve::add_demo_versions(store, demo);
+  Server server(store, ServerConfig{});
+  server.start();
+  TcpStream s = TcpStream::connect("127.0.0.1", server.port());
+  const std::vector<std::pair<MsgType, std::string>> short_forms = {
+      // "v3-bad", no force byte: the gate refuses it, so v1 stays live.
+      {MsgType::kTryPromote, "06000000" "76332d626164"},
+      {MsgType::kCanaryAbort, ""},                // no drain byte
+      {MsgType::kRolloutAbort, ""},               // a backend: Error frame
+  };
+  const MsgType expected[] = {MsgType::kTryPromoteReply,
+                              MsgType::kCanaryAbortReply, MsgType::kError};
+  for (std::size_t i = 0; i < short_forms.size(); ++i) {
+    const std::vector<std::uint8_t> body = from_hex(short_forms[i].second);
+    WireWriter w;
+    w.bytes(body.data(), body.size());
+    write_frame(s, short_forms[i].first, w);
+    MsgType type{};
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(read_frame(s, &type, &payload));
+    EXPECT_EQ(type, expected[i]) << i;
+  }
+  EXPECT_EQ(Client("127.0.0.1", server.port()).stats().live_version, "v1");
+  server.stop();
+}
+
+TEST(WireGolden, ErrorFrameBytesArePinned) {
+  TcpListener listener = TcpListener::bind_loopback(0);
+  TcpStream sender = TcpStream::connect("127.0.0.1", listener.port());
+  TcpStream receiver = listener.accept(2000);
+  ASSERT_TRUE(receiver.valid());
+  reply_error(sender, "boom");
+  const std::vector<std::uint8_t> frame = read_raw_frame(receiver);
+  EXPECT_EQ(to_hex(frame.data(), frame.size()),
+            "0c000000a7037f00" "04000000626f6f6d");
+
+  // A Client surfaces the Error frame as an RpcError with its text.
+  TcpListener stand_in = TcpListener::bind_loopback(0);
+  Client client("127.0.0.1", stand_in.port(), 5000);
+  std::thread caller([&] { EXPECT_THROW(client.ping(), RpcError); });
+  TcpStream conn = stand_in.accept(5000);
+  read_raw_frame(conn);
+  conn.write_all(frame.data(), frame.size());
+  caller.join();
 }
 
 // ---- decoder fuzz ------------------------------------------------------

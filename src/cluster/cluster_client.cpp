@@ -261,40 +261,16 @@ bool ClusterClient::send_plan(std::size_t shard, std::size_t replica,
   try {
     // A sampled lookup stamps a child context (same trace, fresh span id)
     // on every backend frame, so the backend's spans join this trace.
-    if (!plan.local_ids.empty()) {
-      net::WireWriter body;
-      body.reserve(4 + plan.local_ids.size() * 8);
-      body.u32(static_cast<std::uint32_t>(plan.local_ids.size()));
-      for (const std::uint64_t id : plan.local_ids) body.u64(id);
-      if (trace_.sampled()) {
-        net::write_frame(*s, net::MsgType::kLookupIds, body, trace_.child());
-      } else {
-        net::write_frame(*s, net::MsgType::kLookupIds, body);
-      }
+    const auto send = [&](net::MsgType type, const auto& body) {
+      net::write_message(
+          *s, type, body,
+          trace_.sampled() ? trace_.child() : obs::TraceContext{});
+    };
+    if (!plan.local_ids.ids.empty()) {
+      send(net::MsgType::kLookupIds, plan.local_ids);
     }
-    if (!plan.words.empty()) {
-      std::size_t bytes = 4;
-      for (const std::string& w : plan.words) bytes += 4 + w.size();
-      net::WireWriter body;
-      body.reserve(bytes);
-      body.u32(static_cast<std::uint32_t>(plan.words.size()));
-      for (const std::string& w : plan.words) body.str(w);
-      if (trace_.sampled()) {
-        net::write_frame(*s, net::MsgType::kLookupWords, body,
-                         trace_.child());
-      } else {
-        net::write_frame(*s, net::MsgType::kLookupWords, body);
-      }
-    }
-    if (plan.topk) {
-      net::WireWriter body;
-      net::encode_topk_request(*plan.topk, &body);
-      if (trace_.sampled()) {
-        net::write_frame(*s, net::MsgType::kTopK, body, trace_.child());
-      } else {
-        net::write_frame(*s, net::MsgType::kTopK, body);
-      }
-    }
+    if (!plan.words.words.empty()) send(net::MsgType::kLookupWords, plan.words);
+    if (plan.topk) send(net::MsgType::kTopK, *plan.topk);
     return true;
   } catch (const net::NetError&) {
     drop(shard, replica);
@@ -316,18 +292,16 @@ bool ClusterClient::read_plan(std::size_t shard, std::size_t replica,
     std::vector<std::uint8_t> payload;
     if (!net::read_frame(*s, &type, &payload)) return false;  // backend EOF
     if (type != expected) return false;  // kError or a protocol mismatch
-    net::WireReader reader(payload);
-    *out = net::decode_lookup_result(&reader);
-    reader.expect_done();
+    *out = net::decode<serve::LookupResult>(payload);
     return true;
   };
   try {
-    if (!plan.local_ids.empty() &&
+    if (!plan.local_ids.ids.empty() &&
         !read_one(net::MsgType::kLookupIdsReply, ids_reply)) {
       drop(shard, replica);
       return false;
     }
-    if (!plan.words.empty() &&
+    if (!plan.words.words.empty() &&
         !read_one(net::MsgType::kLookupWordsReply, words_reply)) {
       drop(shard, replica);
       return false;
@@ -343,9 +317,7 @@ bool ClusterClient::read_plan(std::size_t shard, std::size_t replica,
         drop(shard, replica);
         return false;
       }
-      net::WireReader reader(payload);
-      *topk_reply = net::decode_topk_result(&reader);
-      reader.expect_done();
+      *topk_reply = net::decode<ann::TopKResult>(payload);
     }
     return true;
   } catch (const net::NetError&) {
@@ -595,7 +567,7 @@ serve::LookupResult ClusterClient::execute(const std::vector<Plan>& plans,
   if (!any_involved && n_slots > 0 && config_.map.total_rows() > 0 &&
       (!health_ || health_->shard_alive(0))) {
     Plan probe;
-    probe.local_ids.push_back(0);
+    probe.local_ids.ids.push_back(0);
     probe.id_slots.push_back(0);
     ShardState pst;
     serve::LookupResult ids_reply, words_reply;
@@ -663,8 +635,8 @@ serve::LookupResult ClusterClient::execute(const std::vector<Plan>& plans,
   out.dim = 0;
   const auto matching_subs = [&](std::size_t b) {
     return std::array<std::pair<const serve::LookupResult*, std::size_t>, 2>{
-        {{&ids_replies[b], plans[b].local_ids.size()},
-         {&words_replies[b], plans[b].words.size()}}};
+        {{&ids_replies[b], plans[b].local_ids.ids.size()},
+         {&words_replies[b], plans[b].words.words.size()}}};
   };
   // Pass 1: row-weighted majority dim among size-matching replies (ties →
   // smaller dim, arbitrarily but deterministically).
@@ -741,13 +713,13 @@ serve::LookupResult ClusterClient::execute(const std::vector<Plan>& plans,
       degraded = true;
       continue;
     }
-    if (!plan.local_ids.empty()) {
+    if (!plan.local_ids.ids.empty()) {
       scatter(ids_replies[b], plan.id_slots,
-              ids_replies[b].size() == plan.local_ids.size());
+              ids_replies[b].size() == plan.local_ids.ids.size());
     }
-    if (!plan.words.empty()) {
+    if (!plan.words.words.empty()) {
       scatter(words_replies[b], plan.word_slots,
-              words_replies[b].size() == plan.words.size());
+              words_replies[b].size() == plan.words.words.size());
     }
   }
   for (std::size_t i = 0; i < out.oov.size() && !degraded; ++i) {
@@ -811,7 +783,7 @@ serve::LookupResult ClusterClient::lookup_ids(
       continue;
     }
     const std::size_t b = config_.map.shard_of_id(id);
-    plans[b].local_ids.push_back(id - config_.map.shard(b).row_begin);
+    plans[b].local_ids.ids.push_back(id - config_.map.shard(b).row_begin);
     plans[b].id_slots.push_back(static_cast<std::uint32_t>(i));
     // Router-side key-load attribution, in GLOBAL id space (the backends
     // record the same key in their local space).
@@ -832,13 +804,13 @@ serve::LookupResult ClusterClient::lookup_words(
       // backend's own "w<local>" naming must never be consulted, it
       // numbers a different (sliced) space.
       const std::size_t b = config_.map.shard_of_id(id);
-      plans[b].local_ids.push_back(id - config_.map.shard(b).row_begin);
+      plans[b].local_ids.ids.push_back(id - config_.map.shard(b).row_begin);
       plans[b].id_slots.push_back(static_cast<std::uint32_t>(i));
       if (config_.load != nullptr) config_.load->record(id);
     } else {
       // OOV: one deterministic home shard synthesizes it.
       const std::size_t b = config_.map.shard_of_word(words[i]);
-      plans[b].words.push_back(words[i]);
+      plans[b].words.words.push_back(words[i]);
       plans[b].word_slots.push_back(static_cast<std::uint32_t>(i));
     }
   }
@@ -1029,7 +1001,7 @@ ClusterStatsReport ClusterClient::stats() {
       net::TcpStream* s = stream(b, r);
       if (s == nullptr) continue;
       try {
-        net::write_frame(*s, net::MsgType::kStats, net::WireWriter());
+        net::write_message(*s, net::MsgType::kStats, net::Empty{});
         net::MsgType type{};
         std::vector<std::uint8_t> payload;
         if (!net::read_frame(*s, &type, &payload) ||
@@ -1037,9 +1009,7 @@ ClusterStatsReport ClusterClient::stats() {
           drop(b, r);
           continue;
         }
-        net::WireReader reader(payload);
-        const net::ServerStatsReport one = net::decode_server_stats(&reader);
-        reader.expect_done();
+        const auto one = net::decode<net::ServerStatsReport>(payload);
         if (!answered) {
           answered = true;
           ++report.shards_answering;
@@ -1093,7 +1063,7 @@ net::HeatReport ClusterClient::heat() {
       net::TcpStream* s = stream(b, r);
       if (s == nullptr) continue;
       try {
-        net::write_frame(*s, net::MsgType::kHeat, net::WireWriter());
+        net::write_message(*s, net::MsgType::kHeat, net::Empty{});
         net::MsgType type{};
         std::vector<std::uint8_t> payload;
         if (!net::read_frame(*s, &type, &payload) ||
@@ -1104,9 +1074,7 @@ net::HeatReport ClusterClient::heat() {
           drop(b, r);
           continue;
         }
-        net::WireReader reader(payload);
-        net::HeatReport one = net::decode_heat_report(&reader);
-        reader.expect_done();
+        net::HeatReport one = net::decode<net::HeatReport>(payload);
         // Replicas of one shard report the same LOCAL id space: merge
         // them first, lift once.
         if (!answered) {
@@ -1144,7 +1112,7 @@ void ClusterClient::shutdown_backends() {
       net::TcpStream* s = stream(b, r);
       if (s == nullptr) continue;
       try {
-        net::write_frame(*s, net::MsgType::kShutdown, net::WireWriter());
+        net::write_message(*s, net::MsgType::kShutdown, net::Empty{});
         net::MsgType type{};
         std::vector<std::uint8_t> payload;
         net::read_frame(*s, &type, &payload);
@@ -1168,7 +1136,7 @@ ClusterClient::ProbeResult ClusterClient::probe(const std::string& host,
                                               : ProbeResult::kDown;
     }
     s.set_io_timeout(timeout_ms);
-    net::write_frame(s, net::MsgType::kPing, net::WireWriter());
+    net::write_message(s, net::MsgType::kPing, net::Empty{});
     net::MsgType type{};
     std::vector<std::uint8_t> payload;
     return net::read_frame(s, &type, &payload) && type == net::MsgType::kPong

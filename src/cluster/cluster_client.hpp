@@ -296,18 +296,19 @@ class ClusterClient {
  private:
   /// Per-shard slice of one scatter-gather lookup.
   struct Plan {
-    std::vector<std::uint64_t> local_ids;   // kLookupIds sub-request
+    net::LookupIdsRequest local_ids;        // kLookupIds sub-request
     std::vector<std::uint32_t> id_slots;    // → caller slots
-    std::vector<std::string> words;         // kLookupWords sub-request
+    net::LookupWordsRequest words;          // kLookupWords sub-request
     std::vector<std::uint32_t> word_slots;  // → caller slots
     /// Candidates-mode TOPK broadcast sub-request (one per shard on a
     /// cluster search); rides the same scatter/hedge/failover machinery.
     std::optional<net::TopKRequest> topk;
     bool involved() const {
-      return !local_ids.empty() || !words.empty() || topk.has_value();
+      return !local_ids.ids.empty() || !words.words.empty() ||
+             topk.has_value();
     }
     std::size_t frames() const {
-      return (local_ids.empty() ? 0 : 1) + (words.empty() ? 0 : 1) +
+      return (local_ids.ids.empty() ? 0 : 1) + (words.words.empty() ? 0 : 1) +
              (topk ? 1 : 0);
     }
   };

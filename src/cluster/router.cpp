@@ -198,7 +198,6 @@ void Router::probe_loop() {
 void Router::register_handlers() {
   using net::MsgType;
   using net::RpcCall;
-  using net::WireWriter;
   // Runs one scatter-gather lookup `body(cc)` on a pooled client (timed
   // into the latency histogram, lookup/degraded counters maintained) and
   // releases the slot before the reply is written back — a slow client
@@ -219,24 +218,20 @@ void Router::register_handlers() {
                                 .count());
   };
   rpc_.handle(MsgType::kLookupIds, [timed_lookup](RpcCall& call) {
-    const std::vector<std::size_t> ids = net::decode_lookup_ids(&call.reader);
+    const auto req = net::decode<net::LookupIdsRequest>(&call.reader);
     serve::LookupResult merged;
     timed_lookup(call.trace,
-                 [&](ClusterClient& cc) { merged = cc.lookup_ids(ids); });
-    WireWriter reply;
-    net::encode_lookup_result(merged, &reply);
-    net::write_frame(call.stream, MsgType::kLookupIdsReply, reply);
+                 [&](ClusterClient& cc) { merged = cc.lookup_ids(req.ids); });
+    net::write_message(call.stream, MsgType::kLookupIdsReply, merged);
     return true;
   });
   rpc_.handle(MsgType::kLookupWords, [timed_lookup](RpcCall& call) {
-    const std::vector<std::string> words =
-        net::decode_lookup_words(&call.reader);
+    const auto req = net::decode<net::LookupWordsRequest>(&call.reader);
     serve::LookupResult merged;
-    timed_lookup(call.trace,
-                 [&](ClusterClient& cc) { merged = cc.lookup_words(words); });
-    WireWriter reply;
-    net::encode_lookup_result(merged, &reply);
-    net::write_frame(call.stream, MsgType::kLookupWordsReply, reply);
+    timed_lookup(call.trace, [&](ClusterClient& cc) {
+      merged = cc.lookup_words(req.words);
+    });
+    net::write_message(call.stream, MsgType::kLookupWordsReply, merged);
     return true;
   });
   rpc_.handle(MsgType::kTopK, [this](RpcCall& call) {
@@ -244,8 +239,7 @@ void Router::register_handlers() {
     // internal protocol between ClusterClient and the backends, and a
     // router-of-routers would need per-shard row offsets it doesn't have.
     // req.mode is therefore ignored here.
-    const net::TopKRequest req = net::decode_topk_request(&call.reader);
-    call.reader.expect_done();
+    const auto req = net::decode<net::TopKRequest>(&call.reader);
     ann::TopKResult merged;
     const auto start = std::chrono::steady_clock::now();
     pool_->with_client([&](ClusterClient& cc) {
@@ -267,26 +261,19 @@ void Router::register_handlers() {
     topk_latency_->record(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - start)
                               .count());
-    WireWriter reply;
-    net::encode_topk_result(merged, &reply);
-    net::write_frame(call.stream, MsgType::kTopKReply, reply);
+    net::write_message(call.stream, MsgType::kTopKReply, merged);
     return true;
   });
   rpc_.handle(MsgType::kRolloutStart, [this](RpcCall& call) {
-    const std::string candidate = call.reader.str();
-    const std::uint8_t mode = call.reader.u8();
-    const double fraction = call.reader.f64();
-    const double shadow_rate = call.reader.f64();
-    call.reader.expect_done();
-    const std::string error =
-        start_rollout(candidate, mode, fraction, shadow_rate);
+    const auto req = net::decode<net::RolloutStartRequest>(&call.reader);
+    const std::string error = start_rollout(req.candidate, req.mode,
+                                            req.fraction, req.shadow_rate);
     if (!error.empty()) {
       net::reply_error(call.stream, error);
       return true;
     }
-    WireWriter reply;
-    net::encode_rollout_status(rollout_status(), &reply);
-    net::write_frame(call.stream, MsgType::kRolloutStartReply, reply);
+    net::write_message(call.stream, MsgType::kRolloutStartReply,
+                       rollout_status());
     return true;
   });
   rpc_.handle(MsgType::kRolloutAbort, [this](RpcCall& call) {
@@ -294,18 +281,14 @@ void Router::register_handlers() {
     // always drains in-flight canaries. The abort itself is observed by
     // the rollout thread between shards / canary polls; the reply reports
     // the state at this instant (poll for terminal).
-    if (call.reader.remaining() > 0) call.reader.u8();
-    call.reader.expect_done();
+    net::decode<net::AbortRequest>(&call.reader);
     rollout_abort_.store(true, std::memory_order_release);
-    WireWriter reply;
-    net::encode_rollout_status(rollout_status(), &reply);
-    net::write_frame(call.stream, MsgType::kRolloutAbortReply, reply);
+    net::write_message(call.stream, MsgType::kRolloutAbortReply,
+                       rollout_status());
     return true;
   });
   rpc_.handle(MsgType::kTryPromote, [](RpcCall& call) {
-    call.reader.str();
-    if (call.reader.remaining() > 0) call.reader.u8();  // optional force byte
-    call.reader.expect_done();
+    net::decode<net::PromoteRequest>(&call.reader);
     net::reply_error(call.stream,
                      "anchor_router does not serve single-shard promotes; "
                      "use ROLLOUT_START for a coordinated shard-by-shard "
@@ -324,41 +307,28 @@ void Router::register_handlers() {
   }
   if (config_.forward_shutdown) {
     rpc_.handle(MsgType::kShutdown, [this](RpcCall& call) {
-      call.reader.expect_done();
+      net::decode<net::Empty>(&call.reader);
       pool_->shutdown_backends();
       return rpc_.shutdown(call);
     });
   }
-  rpc_.handle_query(MsgType::kMetrics, MsgType::kMetricsReply,
-                    [this](WireWriter& reply) {
-                      net::encode_metrics_report(metrics_.snapshot(), &reply);
-                    });
-  rpc_.handle_query(MsgType::kStats, MsgType::kStatsReply,
-                    [this](WireWriter& reply) {
-                      const ClusterStatsReport agg = pool_->with_client(
-                          [](ClusterClient& cc) { return cc.stats(); });
-                      net::encode_server_stats(agg.aggregate, &reply);
-                    });
+  rpc_.handle_query(MsgType::kMetrics, [this] { return metrics_.snapshot(); });
+  rpc_.handle_query(MsgType::kStats, [this] {
+    return pool_->with_client([](ClusterClient& cc) { return cc.stats(); })
+        .aggregate;
+  });
   // Pure backend merge, lifted to global id space by the borrowed client:
   // the reply is bit-identical to a client merging the backends' own HEAT
   // replies itself (pinned by cluster_test). The router's own windowed /
   // key-load view is deliberately NOT mixed in — it is exported via this
   // process's Prometheus plane instead.
-  rpc_.handle_query(MsgType::kHeat, MsgType::kHeatReply,
-                    [this](WireWriter& reply) {
-                      net::encode_heat_report(
-                          pool_->with_client(
-                              [](ClusterClient& cc) { return cc.heat(); }),
-                          &reply);
-                    });
-  rpc_.handle_query(MsgType::kShardMap, MsgType::kShardMapReply,
-                    [this](WireWriter& reply) {
-                      reply.str(config_.map.serialize());
-                    });
-  rpc_.handle_query(MsgType::kRolloutStatus, MsgType::kRolloutStatusReply,
-                    [this](WireWriter& reply) {
-                      net::encode_rollout_status(rollout_status(), &reply);
-                    });
+  rpc_.handle_query(MsgType::kHeat, [this] {
+    return pool_->with_client([](ClusterClient& cc) { return cc.heat(); });
+  });
+  rpc_.handle_query(MsgType::kShardMap,
+                    [this] { return config_.map.serialize(); });
+  rpc_.handle_query(MsgType::kRolloutStatus,
+                    [this] { return rollout_status(); });
 }
 
 // ---- rollout -----------------------------------------------------------

@@ -9,8 +9,7 @@ Client::Client(const std::string& host, std::uint16_t port,
 }
 
 std::vector<std::uint8_t> Client::roundtrip(MsgType request,
-                                            const WireWriter& body,
-                                            MsgType expected) {
+                                            const WireWriter& body) {
   // Attach a trace context: a pinned one (set_next_trace, consumed here)
   // wins over the sampling draw.
   obs::TraceContext ctx = next_trace_;
@@ -34,40 +33,30 @@ std::vector<std::uint8_t> Client::roundtrip(MsgType request,
                                    start_ns, end_ns);
     obs::Tracer::instance().finish_request(ctx, start_ns, end_ns);
   }
-  if (type == MsgType::kError) {
-    WireReader reader(payload);
-    throw RpcError(reader.str());
-  }
-  if (type != expected) {
+  if (type == MsgType::kError) throw RpcError(decode<std::string>(payload));
+  if (type != reply_type(request)) {
     throw WireError("unexpected reply type " +
                     std::to_string(static_cast<int>(type)));
   }
   return payload;
 }
 
-serve::LookupResult Client::lookup_ids(const std::vector<std::size_t>& ids) {
+template <class Reply, class Request>
+Reply Client::call(MsgType type, const Request& request) {
   WireWriter body;
-  body.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const std::size_t id : ids) body.u64(id);
-  const auto payload =
-      roundtrip(MsgType::kLookupIds, body, MsgType::kLookupIdsReply);
-  WireReader reader(payload);
-  serve::LookupResult result = decode_lookup_result(&reader);
-  reader.expect_done();
-  return result;
+  encode(request, &body);
+  return decode<Reply>(roundtrip(type, body));
+}
+
+serve::LookupResult Client::lookup_ids(const std::vector<std::size_t>& ids) {
+  return call<serve::LookupResult>(MsgType::kLookupIds,
+                                   LookupIdsRequest{ids});
 }
 
 serve::LookupResult Client::lookup_words(
     const std::vector<std::string>& words) {
-  WireWriter body;
-  body.u32(static_cast<std::uint32_t>(words.size()));
-  for (const std::string& word : words) body.str(word);
-  const auto payload =
-      roundtrip(MsgType::kLookupWords, body, MsgType::kLookupWordsReply);
-  WireReader reader(payload);
-  serve::LookupResult result = decode_lookup_result(&reader);
-  reader.expect_done();
-  return result;
+  return call<serve::LookupResult>(MsgType::kLookupWords,
+                                   LookupWordsRequest{words});
 }
 
 serve::LookupResult Client::lookup_id(std::size_t id) {
@@ -79,13 +68,7 @@ serve::LookupResult Client::lookup_word(const std::string& word) {
 }
 
 ann::TopKResult Client::topk(const TopKRequest& req) {
-  WireWriter body;
-  encode_topk_request(req, &body);
-  const auto payload = roundtrip(MsgType::kTopK, body, MsgType::kTopKReply);
-  WireReader reader(payload);
-  ann::TopKResult result = decode_topk_result(&reader);
-  reader.expect_done();
-  return result;
+  return call<ann::TopKResult>(MsgType::kTopK, req);
 }
 
 ann::TopKResult Client::topk_id(std::uint64_t id, std::size_t k,
@@ -124,141 +107,66 @@ ann::TopKResult Client::topk_vector(const std::vector<float>& query,
 
 serve::GateReport Client::try_promote(const std::string& candidate,
                                       bool force) {
-  WireWriter body;
-  body.str(candidate);
-  body.u8(force ? 1 : 0);
-  const auto payload =
-      roundtrip(MsgType::kTryPromote, body, MsgType::kTryPromoteReply);
-  WireReader reader(payload);
-  serve::GateReport report = decode_gate_report(&reader);
-  reader.expect_done();
-  return report;
+  return call<serve::GateReport>(MsgType::kTryPromote,
+                                 PromoteRequest{candidate, force});
 }
 
 CanaryStatusReport Client::canary_start(const std::string& candidate,
                                         double fraction,
                                         double shadow_rate) {
-  WireWriter body;
-  body.str(candidate);
-  body.f64(fraction);
-  body.f64(shadow_rate);
-  const auto payload =
-      roundtrip(MsgType::kCanaryStart, body, MsgType::kCanaryStartReply);
-  WireReader reader(payload);
-  CanaryStatusReport report = decode_canary_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<CanaryStatusReport>(
+      MsgType::kCanaryStart,
+      CanaryStartRequest{candidate, fraction, shadow_rate});
 }
 
 CanaryStatusReport Client::canary_status() {
-  const auto payload = roundtrip(MsgType::kCanaryStatus, WireWriter(),
-                                 MsgType::kCanaryStatusReply);
-  WireReader reader(payload);
-  CanaryStatusReport report = decode_canary_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<CanaryStatusReport>(MsgType::kCanaryStatus, Empty{});
 }
 
 CanaryStatusReport Client::canary_abort(bool drain) {
-  WireWriter body;
-  body.u8(drain ? 1 : 0);
-  const auto payload =
-      roundtrip(MsgType::kCanaryAbort, body, MsgType::kCanaryAbortReply);
-  WireReader reader(payload);
-  CanaryStatusReport report = decode_canary_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<CanaryStatusReport>(MsgType::kCanaryAbort,
+                                  AbortRequest{drain});
 }
 
 RolloutStatusReport Client::rollout_start(const std::string& candidate,
                                           std::uint8_t mode, double fraction,
                                           double shadow_rate) {
-  WireWriter body;
-  body.str(candidate);
-  body.u8(mode);
-  body.f64(fraction);
-  body.f64(shadow_rate);
-  const auto payload =
-      roundtrip(MsgType::kRolloutStart, body, MsgType::kRolloutStartReply);
-  WireReader reader(payload);
-  RolloutStatusReport report = decode_rollout_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<RolloutStatusReport>(
+      MsgType::kRolloutStart,
+      RolloutStartRequest{candidate, mode, fraction, shadow_rate});
 }
 
 RolloutStatusReport Client::rollout_status() {
-  const auto payload = roundtrip(MsgType::kRolloutStatus, WireWriter(),
-                                 MsgType::kRolloutStatusReply);
-  WireReader reader(payload);
-  RolloutStatusReport report = decode_rollout_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<RolloutStatusReport>(MsgType::kRolloutStatus, Empty{});
 }
 
 RolloutStatusReport Client::rollout_abort(bool drain) {
-  WireWriter body;
-  body.u8(drain ? 1 : 0);
-  const auto payload =
-      roundtrip(MsgType::kRolloutAbort, body, MsgType::kRolloutAbortReply);
-  WireReader reader(payload);
-  RolloutStatusReport report = decode_rollout_status(&reader);
-  reader.expect_done();
-  return report;
+  return call<RolloutStatusReport>(MsgType::kRolloutAbort,
+                                   AbortRequest{drain});
 }
 
 std::string Client::shard_map() {
-  const auto payload =
-      roundtrip(MsgType::kShardMap, WireWriter(), MsgType::kShardMapReply);
-  WireReader reader(payload);
-  std::string map = reader.str();
-  reader.expect_done();
-  return map;
+  return call<std::string>(MsgType::kShardMap, Empty{});
 }
 
 std::string Client::fault_set(const std::string& spec) {
-  WireWriter body;
-  body.str(spec);
-  const auto payload =
-      roundtrip(MsgType::kFaultSet, body, MsgType::kFaultSetReply);
-  WireReader reader(payload);
-  std::string echoed = reader.str();
-  reader.expect_done();
-  return echoed;
+  return call<std::string>(MsgType::kFaultSet, FaultSetRequest{spec});
 }
 
 ServerStatsReport Client::stats() {
-  const auto payload =
-      roundtrip(MsgType::kStats, WireWriter(), MsgType::kStatsReply);
-  WireReader reader(payload);
-  ServerStatsReport report = decode_server_stats(&reader);
-  reader.expect_done();
-  return report;
+  return call<ServerStatsReport>(MsgType::kStats, Empty{});
 }
 
 HeatReport Client::heat() {
-  const auto payload =
-      roundtrip(MsgType::kHeat, WireWriter(), MsgType::kHeatReply);
-  WireReader reader(payload);
-  HeatReport report = decode_heat_report(&reader);
-  reader.expect_done();
-  return report;
+  return call<HeatReport>(MsgType::kHeat, Empty{});
 }
 
 obs::MetricsReport Client::metrics() {
-  const auto payload =
-      roundtrip(MsgType::kMetrics, WireWriter(), MsgType::kMetricsReply);
-  WireReader reader(payload);
-  obs::MetricsReport report = decode_metrics_report(&reader);
-  reader.expect_done();
-  return report;
+  return call<obs::MetricsReport>(MsgType::kMetrics, Empty{});
 }
 
-void Client::ping() {
-  roundtrip(MsgType::kPing, WireWriter(), MsgType::kPong);
-}
+void Client::ping() { call<Empty>(MsgType::kPing, Empty{}); }
 
-void Client::shutdown_server() {
-  roundtrip(MsgType::kShutdown, WireWriter(), MsgType::kShutdownReply);
-}
+void Client::shutdown_server() { call<Empty>(MsgType::kShutdown, Empty{}); }
 
 }  // namespace anchor::net

@@ -141,9 +141,11 @@ class Client {
 
  private:
   /// Sends one frame, reads one reply. Throws RpcError on kError replies,
-  /// WireError when the reply type is not `expected`.
-  std::vector<std::uint8_t> roundtrip(MsgType request, const WireWriter& body,
-                                      MsgType expected);
+  /// WireError when the reply type is not reply_type(request).
+  std::vector<std::uint8_t> roundtrip(MsgType request, const WireWriter& body);
+  /// One RPC: encodes `request`, decodes the reply payload as a Reply.
+  template <class Reply, class Request>
+  Reply call(MsgType type, const Request& request);
 
   TcpStream stream_;
   double trace_sampling_ = 0.0;

@@ -15,9 +15,7 @@ constexpr std::chrono::milliseconds kAcceptBackoff{10};
 }  // namespace
 
 void reply_error(TcpStream& stream, const std::string& message) {
-  WireWriter err;
-  err.str(message);
-  write_frame(stream, MsgType::kError, err);
+  write_message(stream, MsgType::kError, message);
 }
 
 RpcServer::RpcServer(std::uint16_t port, int poll_interval_ms,
@@ -28,7 +26,7 @@ RpcServer::RpcServer(std::uint16_t port, int poll_interval_ms,
       recv_stage_(recv_stage),
       frames_(frames),
       listener_(TcpListener::bind_loopback(port)) {
-  handle_query(MsgType::kPing, MsgType::kPong, [](WireWriter&) {});
+  handle_query(MsgType::kPing, [] { return Empty{}; });
   handle(MsgType::kShutdown, [this](RpcCall& call) { return shutdown(call); });
 }
 
@@ -38,28 +36,17 @@ void RpcServer::handle(MsgType type, Handler handler) {
   handlers_[static_cast<std::uint8_t>(type)] = std::move(handler);
 }
 
-void RpcServer::handle_query(MsgType type, MsgType reply_type,
-                             std::function<void(WireWriter& reply)> encode) {
-  handle(type, [reply_type, encode = std::move(encode)](RpcCall& call) {
-    call.reader.expect_done();
-    WireWriter reply;
-    encode(reply);
-    write_frame(call.stream, reply_type, reply);
-    return true;
-  });
-}
-
 void RpcServer::start() {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 bool RpcServer::shutdown(RpcCall& call) {
-  call.reader.expect_done();
+  decode<Empty>(&call.reader);
   // Flags first, reply second: a client that received the reply must
   // observe shutdown_requested() as true.
   shutdown_requested_.store(true, std::memory_order_release);
   stop_.store(true, std::memory_order_release);
-  write_frame(call.stream, MsgType::kShutdownReply, WireWriter{});
+  write_message(call.stream, MsgType::kShutdownReply, Empty{});
   return false;  // this connection closes; stop() joins the others
 }
 

@@ -6,13 +6,13 @@
 // daemon registers one handler per other request type it serves, and any
 // other type is answered with an Error frame.
 //
-// Error phases. A handler decodes its request first and ends the decode
-// with reader.expect_done(). An exception before that point closes the
-// connection without a reply, because the peer speaks a layout this
-// process does not. An exception after it is a serving failure (unknown
-// version, empty store, a reply over the frame cap): the core answers it
-// with an Error frame and keeps the connection. A NetError always closes
-// the connection: the stream framing is gone.
+// Error phases. A handler decodes its request first, with one
+// decode<T>(&call.reader). An exception before that decode completes
+// closes the connection without a reply, because the peer speaks a
+// layout this process does not. An exception after it is a serving
+// failure (unknown version, empty store, a reply over the frame cap): the
+// core answers it with an Error frame and keeps the connection. A
+// NetError always closes the connection: the stream framing is gone.
 //
 // Under descriptor exhaustion new connections wait in the backlog (see
 // TcpListener::accept). Other accept failures, and a new connection no
@@ -67,9 +67,15 @@ class RpcServer {
   /// Registers (or replaces) the handler for `type`. Call before start().
   void handle(MsgType type, Handler handler);
   /// Registers a query: a request with an empty payload, answered by a
-  /// `reply_type` frame carrying what `encode` writes.
-  void handle_query(MsgType type, MsgType reply_type,
-                    std::function<void(WireWriter& reply)> encode);
+  /// reply_type(type) frame carrying the payload `reply()` returns.
+  template <class F>
+  void handle_query(MsgType type, F reply) {
+    handle(type, [type, reply = std::move(reply)](RpcCall& call) {
+      decode<Empty>(&call.reader);
+      write_message(call.stream, reply_type(type), reply());
+      return true;
+    });
+  }
 
   /// Serves on a background thread; returns immediately.
   void start();

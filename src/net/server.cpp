@@ -296,8 +296,8 @@ void Server::register_handlers() {
   // send time; the refusal keeps the connection like any serving error.
   rpc_.handle(MsgType::kLookupIds, [this](RpcCall& call) {
     WindowedScope wscope(windowed_);
-    std::vector<std::size_t> ids = decode_lookup_ids(&call.reader);
-    if (ids.size() > max_reply_keys(store_)) {
+    LookupIdsRequest req = decode<LookupIdsRequest>(&call.reader);
+    if (req.ids.size() > max_reply_keys(store_)) {
       reply_error(call.stream, kBatchTooLarge);
       return true;
     }
@@ -307,11 +307,12 @@ void Server::register_handlers() {
       // incumbent and candidate (and mirrors the shadow sample), then
       // merges back into request order.
       serve::LookupResult merged;
-      canary->lookup_ids_into(ids, &merged);
-      encode_lookup_result(merged, &reply);
+      canary->lookup_ids_into(req.ids, &merged);
+      encode(merged, &reply);
     } else {
-      encode_result_slice(async_.lookup_ids(std::move(ids), call.trace).get(),
-                          &reply);
+      encode(LookupRows::of(
+                 async_.lookup_ids(std::move(req.ids), call.trace).get()),
+             &reply);
     }
     wscope.error =
         !send_data_reply(call.stream, MsgType::kLookupIdsReply, reply);
@@ -319,19 +320,20 @@ void Server::register_handlers() {
   });
   rpc_.handle(MsgType::kLookupWords, [this](RpcCall& call) {
     WindowedScope wscope(windowed_);
-    std::vector<std::string> words = decode_lookup_words(&call.reader);
-    if (words.size() > max_reply_keys(store_)) {
+    LookupWordsRequest req = decode<LookupWordsRequest>(&call.reader);
+    if (req.words.size() > max_reply_keys(store_)) {
       reply_error(call.stream, kBatchTooLarge);
       return true;
     }
     WireWriter reply;
     if (const auto canary = active_canary()) {
       serve::LookupResult merged;
-      canary->lookup_words_into(words, &merged);
-      encode_lookup_result(merged, &reply);
+      canary->lookup_words_into(req.words, &merged);
+      encode(merged, &reply);
     } else {
-      encode_result_slice(
-          async_.lookup_words(std::move(words), call.trace).get(), &reply);
+      encode(LookupRows::of(
+                 async_.lookup_words(std::move(req.words), call.trace).get()),
+             &reply);
     }
     wscope.error =
         !send_data_reply(call.stream, MsgType::kLookupWordsReply, reply);
@@ -339,8 +341,7 @@ void Server::register_handlers() {
   });
   rpc_.handle(MsgType::kTopK, [this](RpcCall& call) {
     WindowedScope wscope(windowed_);
-    TopKRequest req = decode_topk_request(&call.reader);
-    call.reader.expect_done();
+    TopKRequest req = decode<TopKRequest>(&call.reader);
     if (!ann_) {
       reply_error(call.stream, "TOPK serving is disabled on this server");
       return true;
@@ -384,93 +385,71 @@ void Server::register_handlers() {
     topk_cells_probed_.record(static_cast<double>(result.cells_probed));
     topk_shortlist_.record(static_cast<double>(result.shortlist));
     WireWriter reply;
-    encode_topk_result(result, &reply);
+    encode(result, &reply);
     wscope.error = !send_data_reply(call.stream, MsgType::kTopKReply, reply);
     return !wscope.error;
   });
   rpc_.handle(MsgType::kTryPromote, [this](RpcCall& call) {
-    const std::string candidate = call.reader.str();
-    // Optional byte (older clients omit it): bypass the gate and flip
-    // live directly — the rollout rollback path, where re-running a
-    // near-threshold gate in the reverse direction could refuse to
-    // restore the incumbent and strand a mixed-version cluster.
-    const bool force = call.reader.remaining() > 0 && call.reader.u8() != 0;
-    call.reader.expect_done();
-    WireWriter reply;
-    encode_gate_report(try_promote(candidate, force), &reply);
-    write_frame(call.stream, MsgType::kTryPromoteReply, reply);
+    // `force` bypasses the gate and flips live directly — the rollout
+    // rollback path, where re-running a near-threshold gate in the
+    // reverse direction could refuse to restore the incumbent and strand
+    // a mixed-version cluster.
+    const auto req = decode<PromoteRequest>(&call.reader);
+    write_message(call.stream, MsgType::kTryPromoteReply,
+                  try_promote(req.candidate, req.force));
     return true;
   });
   rpc_.handle(MsgType::kCanaryStart, [this](RpcCall& call) {
-    const std::string candidate = call.reader.str();
-    const double fraction = call.reader.f64();
-    const double shadow_rate = call.reader.f64();
-    call.reader.expect_done();
-    WireWriter reply;
-    encode_canary_status(start_canary(candidate, fraction, shadow_rate),
-                         &reply);
-    write_frame(call.stream, MsgType::kCanaryStartReply, reply);
+    const auto req = decode<CanaryStartRequest>(&call.reader);
+    write_message(call.stream, MsgType::kCanaryStartReply,
+                  start_canary(req.candidate, req.fraction, req.shadow_rate));
     return true;
   });
   rpc_.handle(MsgType::kCanaryAbort, [this](RpcCall& call) {
-    // The drain byte is optional: an empty payload (older client) means
-    // a plain immediate abort.
-    const bool drain = call.reader.remaining() > 0 && call.reader.u8() != 0;
-    call.reader.expect_done();
+    // An empty payload (older client) means a plain immediate abort.
+    const auto req = decode<AbortRequest>(&call.reader);
     // Deliberately NOT under promote_mu_: a drained abort can wait up to
     // the drain timeout on in-flight lookups, and holding the promote lock
     // that long would stall every other control-plane RPC. Safe without
     // it: abort() decides at most once under its own mutex, and the
     // kRunning guards keep promotes out until the canary (draining
     // included) reaches a terminal state.
-    if (const auto c = canary()) c->abort(drain);  // no-op unless running
-    WireWriter reply;
-    encode_canary_status(canary_status_report(), &reply);
-    write_frame(call.stream, MsgType::kCanaryAbortReply, reply);
+    if (const auto c = canary()) c->abort(req.drain);  // no-op unless running
+    write_message(call.stream, MsgType::kCanaryAbortReply,
+                  canary_status_report());
     return true;
   });
   rpc_.handle(MsgType::kFaultSet, [this](RpcCall& call) {
-    const std::string spec = call.reader.str();
-    call.reader.expect_done();
+    const auto req = decode<FaultSetRequest>(&call.reader);
     if (!config_.fault_inject) {
       reply_error(call.stream,
                   "fault injection is not armed (start with --fault-inject)");
       return true;
     }
-    faults_.configure(FaultConfig::parse(spec));
+    faults_.configure(FaultConfig::parse(req.spec));
     // Echo the canonical form so the orchestrator can log what took
     // effect ("" = faults cleared).
-    WireWriter reply;
-    reply.str(faults_.config().serialize());
-    write_frame(call.stream, MsgType::kFaultSetReply, reply);
+    write_message(call.stream, MsgType::kFaultSetReply,
+                  faults_.config().serialize());
     return true;
   });
   // Control-plane queries. No fault injection and no windowed
   // self-recording: chaos must not blind the chaos orchestrator, and the
   // telemetry RPCs must not perturb the telemetry they report.
-  rpc_.handle_query(MsgType::kStats, MsgType::kStatsReply,
-                    [this](WireWriter& reply) {
-                      ServerStatsReport report;
-                      report.live_version = store_.live_version();
-                      if (const serve::SnapshotPtr live = store_.live()) {
-                        report.encoding = live->encoding();
-                      }
-                      report.service = service_.stats().snapshot();
-                      report.batcher = async_.stats().snapshot();
-                      encode_server_stats(report, &reply);
-                    });
-  rpc_.handle_query(MsgType::kMetrics, MsgType::kMetricsReply,
-                    [this](WireWriter& reply) {
-                      encode_metrics_report(metrics_.snapshot(), &reply);
-                    });
-  rpc_.handle_query(MsgType::kHeat, MsgType::kHeatReply,
-                    [this](WireWriter& reply) {
-                      encode_heat_report(heat_report(), &reply);
-                    });
-  rpc_.handle_query(MsgType::kCanaryStatus, MsgType::kCanaryStatusReply,
-                    [this](WireWriter& reply) {
-                      encode_canary_status(canary_status_report(), &reply);
-                    });
+  rpc_.handle_query(MsgType::kStats, [this] {
+    ServerStatsReport report;
+    report.live_version = store_.live_version();
+    if (const serve::SnapshotPtr live = store_.live()) {
+      report.encoding = live->encoding();
+    }
+    report.service = service_.stats().snapshot();
+    report.batcher = async_.stats().snapshot();
+    return report;
+  });
+  rpc_.handle_query(MsgType::kMetrics, [this] { return metrics_.snapshot(); });
+  rpc_.handle_query(MsgType::kHeat, [this] { return heat_report(); });
+  rpc_.handle_query(MsgType::kCanaryStatus,
+                    [this] { return canary_status_report(); });
 }
 
 serve::GateReport Server::try_promote(const std::string& candidate,

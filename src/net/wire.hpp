@@ -6,20 +6,37 @@
 // carries the optional TraceContext (17 bytes; see PROTOCOL.md) — peers
 // skip extension bytes they do not understand, so tracing rides along
 // without perturbing any payload layout. All integers and floats are
-// little-endian (x86 native; see PROTOCOL.md for the normative layout). Response payloads reuse the serve-layer
-// structs verbatim — a lookup reply IS a serialized serve::LookupResult,
-// a promote reply IS a serialized serve::GateReport — so the client
-// deserializes straight into the same types in-process callers use.
+// little-endian (x86 native; see PROTOCOL.md for the normative layout).
 //
-// WireWriter/WireReader are deliberately dumb append/consume cursors:
-// bounds are checked on every read and a violation throws WireError, so a
-// malformed or truncated frame can never read out of bounds.
+// One field list per payload. Every payload type T has exactly one
+// `template <class A> void fields(A& a, T& v)` that names its fields in
+// wire order; WireWriter, WireReader, the minimum-size walk behind every
+// count guard, and the fuzz mutator in net_test all walk that same list
+// (the Archive idiom of SNIPPETS.md Snippet 2). encode(v, &w) and
+// decode<T>(&r) are the only codec entry points; decode always ends with
+// the trailing-bytes check. Reply payloads reuse the serve-layer structs
+// verbatim — a lookup reply IS a serialized serve::LookupResult, a promote
+// reply IS a serialized serve::GateReport — so clients decode straight
+// into the types in-process callers use.
+//
+// Adding a message type: add the MsgType pair, a struct per payload that
+// is not one already, and its field list below — fixed-width scalars
+// (their C++ type is their wire width), std::string, std::vector, enums
+// through a.tag(), nested field-list types; a.trailing() for a field
+// older peers omit, a.check() for a condition a reader must reject. The
+// round-trip and fuzz tests in net_test pick the type up from their list.
+//
+// The reader is bounds-checked on every read and a violation throws
+// WireError, so a malformed or truncated frame can never read out of
+// bounds; every length prefix is checked against the bytes left before
+// anything is allocated.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ann/ivf_pq.hpp"
@@ -127,165 +144,77 @@ enum class MsgType : std::uint8_t {
   kError = 0x7F,
 };
 
-/// Append-only payload builder.
-class WireWriter {
- public:
-  /// Pre-size the buffer when the payload size is known — saves the
-  /// growth reallocations on large frames.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void f32(float v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
-  void f32s(const float* data, std::size_t n) { raw(data, n * sizeof(float)); }
-  void bytes(const std::uint8_t* data, std::size_t n) { raw(data, n); }
+/// The reply type that answers `request`.
+constexpr MsgType reply_type(MsgType request) {
+  return static_cast<MsgType>(static_cast<std::uint8_t>(request) | 0x80);
+}
 
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
+// ---- payload types -------------------------------------------------------
+// Structs for the payloads that are not serve/obs/ann types already. The
+// cluster rollout types live here (not in src/cluster/) because they ARE
+// the wire contract: the client decodes them without linking any cluster
+// code, and cluster/ already depends on net/.
 
- private:
-  // resize+memcpy rather than insert: identical behavior, but GCC 12's
-  // -Wstringop-overflow false-fires on the inlined insert-into-empty-
-  // vector memmove in some TUs.
-  void raw(const void* p, std::size_t n) {
-    if (n == 0) return;  // p may be null; see WireReader::f32s
-    const std::size_t old = buf_.size();
-    buf_.resize(old + n);
-    std::memcpy(buf_.data() + old, p, n);
-  }
-  std::vector<std::uint8_t> buf_;
+/// The payload of STATS, PING, SHUTDOWN, *_STATUS, SHARD_MAP, METRICS and
+/// HEAT requests and of the PONG and SHUTDOWN replies.
+struct Empty {};
+
+// Ids travel as u64 and are decoded in one copy into the batcher's
+// std::size_t keys.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+
+struct LookupIdsRequest {
+  std::vector<std::size_t> ids;
 };
 
-/// Bounds-checked payload consumer over a received frame.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<std::uint8_t>& payload)
-      : WireReader(payload.data(), payload.size()) {}
-
-  std::uint8_t u8() { return take<std::uint8_t>(); }
-  std::uint16_t u16() { return take<std::uint16_t>(); }
-  std::uint32_t u32() { return take<std::uint32_t>(); }
-  std::uint64_t u64() { return take<std::uint64_t>(); }
-  float f32() { return take<float>(); }
-  double f64() { return take<double>(); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  // n == 0 returns early: `out` may then be an empty vector's null data(),
-  // and memcpy with a null pointer is undefined even for zero bytes.
-  void f32s(float* out, std::size_t n) {
-    if (n == 0) return;
-    need(n * sizeof(float));
-    std::memcpy(out, data_ + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
-  }
-  void bytes(std::uint8_t* out, std::size_t n) {
-    if (n == 0) return;
-    need(n);
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-  }
-
-  std::size_t remaining() const { return size_ - pos_; }
-  /// Call after decoding a payload: trailing bytes mean the peer and we
-  /// disagree about the layout, which should fail loudly, not silently.
-  void expect_done() {
-    if (pos_ != size_) {
-      throw WireError("trailing bytes in payload: " +
-                      std::to_string(size_ - pos_));
-    }
-    decoded_ = true;
-  }
-  /// True once expect_done() passed: the whole payload decoded.
-  bool decoded() const { return decoded_; }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) throw WireError("truncated payload");
-  }
-  template <typename T>
-  T take() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool decoded_ = false;
+struct LookupWordsRequest {
+  std::vector<std::string> words;
 };
 
-// ---- frame I/O ---------------------------------------------------------
+/// LOOKUP_IDS / LOOKUP_WORDS reply: rows [first, first + count) of
+/// `*result`. decode<serve::LookupResult> reads a whole result; the server
+/// encodes the rows of a batcher slice in place, never copying them into a
+/// per-caller LookupResult. Writers only read through `result`.
+struct LookupRows {
+  serve::LookupResult* result = nullptr;
+  std::size_t first = 0;
+  std::size_t count = 0;
 
-/// Builds one complete frame (length prefix + header + optional trace
-/// extension + payload) as a contiguous buffer. write_frame sends exactly
-/// this; it is exposed so the fault injector can send a deliberately
-/// truncated prefix of a well-formed frame.
-std::vector<std::uint8_t> encode_frame(MsgType type, const WireWriter& payload,
-                                       const obs::TraceContext& trace);
+  /// The rows a batcher slice views (a zero-row result for an empty one).
+  static LookupRows of(const serve::ResultSlice& slice);
+};
 
-/// Writes one frame (length prefix + header + payload) in a single send.
-/// When `trace` is valid, it rides in the frame extension.
-void write_frame(TcpStream& stream, MsgType type, const WireWriter& payload,
-                 const obs::TraceContext& trace);
-void write_frame(TcpStream& stream, MsgType type, const WireWriter& payload);
+/// TRY_PROMOTE. `force` bypasses the gate and flips live directly (the
+/// rollout rollback path); older clients omit the byte.
+struct PromoteRequest {
+  std::string candidate;
+  bool force = false;
+};
 
-/// Reads one frame. Returns false on clean EOF before a frame starts.
-/// Throws WireError on bad magic/version/length or an extension length
-/// exceeding the frame, NetError on socket failures or EOF mid-frame.
-/// When `trace` is non-null it receives the frame's TraceContext (a
-/// zeroed context when the frame carried none).
-bool read_frame(TcpStream& stream, MsgType* type,
-                std::vector<std::uint8_t>* payload,
-                obs::TraceContext* trace = nullptr);
+struct CanaryStartRequest {
+  std::string candidate;
+  double fraction = 0.0;     // ≤ 0: the server's configured default
+  double shadow_rate = 0.0;  // ≤ 0: the server's configured default
+};
 
-// ---- payload codecs (shared by Client and Server) ----------------------
+/// CANARY_ABORT and ROLLOUT_ABORT: `drain` finishes scoring in-flight
+/// shadows first; older clients omit the byte.
+struct AbortRequest {
+  bool drain = false;
+};
 
-/// LOOKUP_IDS / LOOKUP_WORDS request payloads, read to the end. A count the
-/// payload cannot hold throws WireError before anything is allocated.
-std::vector<std::size_t> decode_lookup_ids(WireReader* r);
-std::vector<std::string> decode_lookup_words(WireReader* r);
+struct RolloutStartRequest {
+  std::string candidate;
+  std::uint8_t mode = 0;  // 0 = gated promote per shard, 1 = canary
+  double fraction = 0.0;
+  double shadow_rate = 0.0;
+};
 
-void encode_lookup_result(const serve::LookupResult& result, WireWriter* w);
-/// Encodes rows [first, first+count) of `result` in the same layout —
-/// what the server uses to answer from a batcher ResultSlice without
-/// materializing a per-caller LookupResult.
-void encode_lookup_result_slice(const serve::LookupResult& result,
-                                std::size_t first, std::size_t count,
-                                WireWriter* w);
-/// Same layout, straight from a batcher slice (empty slices with no
-/// backing batch encode as a zero-row result).
-void encode_result_slice(const serve::ResultSlice& slice, WireWriter* w);
-serve::LookupResult decode_lookup_result(WireReader* r);
-
-void encode_gate_report(const serve::GateReport& report, WireWriter* w);
-serve::GateReport decode_gate_report(WireReader* r);
-
-/// Sparse histogram codec: aggregates, then {bucket index, count} pairs
-/// for the nonzero buckets only — a latency histogram with a handful of
-/// hot buckets costs tens of bytes, not kNumBuckets · 8.
-void encode_histogram(const obs::HistogramSnapshot& h, WireWriter* w);
-obs::HistogramSnapshot decode_histogram(WireReader* r);
-
-void encode_stats_snapshot(const serve::StatsSnapshot& s, WireWriter* w);
-serve::StatsSnapshot decode_stats_snapshot(WireReader* r);
-
-void encode_metrics_report(const obs::MetricsReport& m, WireWriter* w);
-obs::MetricsReport decode_metrics_report(WireReader* r);
+/// FAULT_SET: a FaultConfig in text form ("" clears). The reply echoes the
+/// canonical form as a string payload.
+struct FaultSetRequest {
+  std::string spec;
+};
 
 /// Stats reply payload: what the daemon reports about itself.
 struct ServerStatsReport {
@@ -304,9 +233,6 @@ struct ServerStatsReport {
   serve::StatsSnapshot batcher;
 };
 
-void encode_server_stats(const ServerStatsReport& s, WireWriter* w);
-ServerStatsReport decode_server_stats(WireReader* r);
-
 /// Canary reply payload (all three canary RPCs answer with this): the
 /// state machine position, the participating versions, the phase-1
 /// offline report, and the live online measurements.
@@ -320,18 +246,6 @@ struct CanaryStatusReport {
   serve::CanaryStatsSnapshot online;
   std::string reason;             // terminal decision reason ("" otherwise)
 };
-
-void encode_canary_stats(const serve::CanaryStatsSnapshot& s, WireWriter* w);
-serve::CanaryStatsSnapshot decode_canary_stats(WireReader* r);
-
-void encode_canary_status(const CanaryStatusReport& s, WireWriter* w);
-CanaryStatusReport decode_canary_status(WireReader* r);
-
-// ---- cluster rollout ----------------------------------------------------
-// Plain-type mirrors of the cluster router's rollout state machine. They
-// live here (not in src/cluster/) because they ARE the wire contract: the
-// client decodes them without linking any cluster code, and cluster/
-// already depends on net/.
 
 enum class RolloutState : std::uint8_t {
   kIdle = 0,        // no rollout ever started
@@ -375,11 +289,6 @@ struct RolloutStatusReport {
   }
 };
 
-void encode_rollout_status(const RolloutStatusReport& s, WireWriter* w);
-RolloutStatusReport decode_rollout_status(WireReader* r);
-
-// ---- approximate top-k search (TOPK) ------------------------------------
-
 /// mode — what the server returns:
 ///   kTopKModeFinal: the k best hits by (exact distance, id) — what end
 ///     clients want.
@@ -399,6 +308,7 @@ inline constexpr std::uint8_t kTopKKindId = 0;
 inline constexpr std::uint8_t kTopKKindWord = 1;
 inline constexpr std::uint8_t kTopKKindVector = 2;
 
+/// TOPK request; the reply IS a serialized ann::TopKResult.
 struct TopKRequest {
   std::uint32_t k = 10;
   std::uint32_t nprobe = 0;  // 0 = server-side default
@@ -409,15 +319,6 @@ struct TopKRequest {
   std::string word;           // kTopKKindWord
   std::vector<float> vector;  // kTopKKindVector
 };
-
-void encode_topk_request(const TopKRequest& req, WireWriter* w);
-TopKRequest decode_topk_request(WireReader* r);
-
-/// The reply IS a serialized ann::TopKResult, same pattern as lookups.
-void encode_topk_result(const ann::TopKResult& result, WireWriter* w);
-ann::TopKResult decode_topk_result(WireReader* r);
-
-// ---- load & drift telemetry (HEAT) --------------------------------------
 
 /// HEAT reply payload: the process's windowed request stats, heavy-hitter
 /// key sketch, and per-range heat map, all as mergeable snapshots (the
@@ -430,44 +331,593 @@ struct HeatReport {
   obs::HeatMapSnapshot heat;
 };
 
-void encode_windowed_snapshot(const obs::WindowedSnapshot& w, WireWriter* out);
-obs::WindowedSnapshot decode_windowed_snapshot(WireReader* r);
+/// One nonzero bucket of a sparse histogram on the wire.
+struct HistogramBucket {
+  std::uint16_t idx = 0;
+  std::uint64_t count = 0;
+};
 
-void encode_sketch_snapshot(const obs::SketchSnapshot& s, WireWriter* out);
-obs::SketchSnapshot decode_sketch_snapshot(WireReader* r);
+// ---- field lists -----------------------------------------------------------
+// One per payload type, in wire order (PROTOCOL.md is the normative
+// layout). `a` is any Archive below; a(x, y, …) visits fields in order.
 
-void encode_heat_map(const obs::HeatMapSnapshot& h, WireWriter* out);
-obs::HeatMapSnapshot decode_heat_map(WireReader* r);
+template <class A>
+void fields(A&, Empty&) {}
 
-void encode_heat_report(const HeatReport& h, WireWriter* out);
-HeatReport decode_heat_report(WireReader* r);
+template <class A>
+void fields(A& a, LookupIdsRequest& v) {
+  a(v.ids);
+}
 
-// ---- one encode() name for every reply payload --------------------------
+template <class A>
+void fields(A& a, LookupWordsRequest& v) {
+  a(v.words);
+}
 
-inline void encode(const serve::LookupResult& v, WireWriter* w) {
-  encode_lookup_result(v, w);
+template <class A>
+void fields(A& a, LookupRows& v) {
+  serve::LookupResult& r = *v.result;
+  a(r.version);
+  std::uint32_t n = static_cast<std::uint32_t>(v.count);
+  a.count(n, 1);  // every row carries at least its oov byte
+  std::uint32_t dim = static_cast<std::uint32_t>(r.dim);
+  a(dim);
+  // The frame cap alone does not bound n·dim: guard it before resizing.
+  a.check(
+      [&] { return dim == 0 || n <= kMaxFrameBytes / sizeof(float) / dim; },
+      "lookup result dimensions overflow frame cap");
+  if constexpr (A::kReads) {
+    r.dim = dim;
+    v.count = n;
+    r.vectors.resize(static_cast<std::size_t>(n) * dim);
+    r.oov.resize(n);
+  }
+  a.span(r.vectors.data() + v.first * r.dim, v.count * r.dim);
+  a.span(r.oov.data() + v.first, v.count);
 }
-inline void encode(const serve::GateReport& v, WireWriter* w) {
-  encode_gate_report(v, w);
+
+template <class A>
+void fields(A& a, serve::LookupResult& v) {
+  LookupRows rows{&v, 0, v.size()};
+  fields(a, rows);
 }
-inline void encode(const ServerStatsReport& v, WireWriter* w) {
-  encode_server_stats(v, w);
+
+template <class A>
+void fields(A& a, PromoteRequest& v) {
+  a(v.candidate);
+  a.trailing(v.force);
 }
-inline void encode(const CanaryStatusReport& v, WireWriter* w) {
-  encode_canary_status(v, w);
+
+template <class A>
+void fields(A& a, CanaryStartRequest& v) {
+  a(v.candidate, v.fraction, v.shadow_rate);
 }
-inline void encode(const RolloutStatusReport& v, WireWriter* w) {
-  encode_rollout_status(v, w);
+
+template <class A>
+void fields(A& a, AbortRequest& v) {
+  a.trailing(v.drain);
 }
-inline void encode(const ann::TopKResult& v, WireWriter* w) {
-  encode_topk_result(v, w);
+
+template <class A>
+void fields(A& a, RolloutStartRequest& v) {
+  a(v.candidate, v.mode, v.fraction, v.shadow_rate);
 }
-inline void encode(const HeatReport& v, WireWriter* w) {
-  encode_heat_report(v, w);
+
+template <class A>
+void fields(A& a, FaultSetRequest& v) {
+  a(v.spec);
 }
-inline void encode(const obs::MetricsReport& v, WireWriter* w) {
-  encode_metrics_report(v, w);
+
+template <class A>
+void fields(A& a, serve::GateReport& v) {
+  a(v.old_version, v.new_version);
+  a.tag(v.decision, serve::GateDecision::kReject);
+  a(v.promoted, v.eis, v.one_minus_knn, v.rows_compared, v.reason);
 }
-inline void encode(const std::string& v, WireWriter* w) { w->str(v); }
+
+template <class A>
+void fields(A& a, HistogramBucket& v) {
+  a(v.idx, v.count);
+}
+
+/// Sparse: the aggregates, then only the nonzero buckets, by strictly
+/// ascending index — a latency histogram with a handful of hot buckets
+/// costs tens of bytes, not kNumBuckets · 8.
+template <class A>
+void fields(A& a, obs::HistogramSnapshot& v) {
+  a(v.count, v.sum_units, v.min_units, v.max_units);
+  std::vector<HistogramBucket> nonzero;
+  if constexpr (!A::kReads) {
+    for (std::size_t i = 0; i < v.counts.size(); ++i) {
+      if (v.counts[i] != 0) {
+        nonzero.push_back({static_cast<std::uint16_t>(i), v.counts[i]});
+      }
+    }
+  }
+  a(nonzero);
+  a.check(
+      [&] {
+        for (std::size_t i = 0; i < nonzero.size(); ++i) {
+          if (nonzero[i].count == 0) return false;
+          if (i > 0 && nonzero[i].idx <= nonzero[i - 1].idx) return false;
+        }
+        return true;
+      },
+      "histogram buckets not nonzero and strictly ascending");
+  a.check(
+      [&] {
+        return nonzero.empty() ||
+               nonzero.back().idx < obs::LogHistogram::kNumBuckets;
+      },
+      "histogram bucket index out of range");
+  if constexpr (A::kReads) {
+    if (!nonzero.empty()) {
+      v.counts.assign(obs::LogHistogram::kNumBuckets, 0);
+      for (const HistogramBucket& b : nonzero) v.counts[b.idx] = b.count;
+    }
+  }
+}
+
+template <class A>
+void fields(A& a, serve::StatsSnapshot& v) {
+  // Two reserved slots (PROTOCOL.md): written as 0, read and discarded, so
+  // peers that still send counts there interoperate.
+  std::uint64_t reserved = 0;
+  a(v.lookups, v.batches, reserved, reserved, v.oov_fallbacks,
+    v.elapsed_seconds, v.qps, v.p50_latency_us, v.p99_latency_us,
+    v.latency);
+}
+
+/// A tagged union: the kind byte selects the value field. min_wire_size
+/// walks the default (kCounter), which is the smallest alternative.
+template <class A>
+void fields(A& a, obs::MetricValue& v) {
+  a.tag(v.kind, obs::MetricKind::kHistogram);
+  a(v.name, v.help);
+  switch (v.kind) {
+    case obs::MetricKind::kCounter:
+      a(v.counter);
+      break;
+    case obs::MetricKind::kGauge:
+      a(v.gauge);
+      break;
+    case obs::MetricKind::kHistogram:
+      a(v.hist);
+      break;
+  }
+}
+
+template <class A>
+void fields(A& a, obs::MetricsReport& v) {
+  a(v.metrics);
+}
+
+template <class A>
+void fields(A& a, ServerStatsReport& v) {
+  a(v.live_version, v.service, v.batcher);
+  a.trailing(v.encoding);
+}
+
+template <class A>
+void fields(A& a, serve::CanaryWorstKey& v) {
+  a(v.key, v.displacement);
+}
+
+template <class A>
+void fields(A& a, serve::CanaryStatsSnapshot& v) {
+  a(v.candidate_lookups, v.incumbent_lookups, v.shadows, v.mean_agreement,
+    v.agreement_lower, v.agreement_upper, v.mean_displacement,
+    v.mean_latency_delta_us, v.p50_agreement, v.p50_displacement,
+    v.worst_keys);
+}
+
+template <class A>
+void fields(A& a, CanaryStatusReport& v) {
+  a.tag(v.state, serve::CanaryState::kAborted);
+  a(v.incumbent, v.candidate, v.fraction, v.shadow_rate, v.offline,
+    v.online, v.reason);
+}
+
+template <class A>
+void fields(A& a, ShardRolloutStatus& v) {
+  a.tag(v.state, ShardRolloutState::kRolledBack);
+  a(v.detail);
+}
+
+template <class A>
+void fields(A& a, RolloutStatusReport& v) {
+  a.tag(v.state, RolloutState::kAborted);
+  a(v.candidate, v.mode, v.map_version, v.shards, v.reason);
+}
+
+/// A tagged union: `kind` selects which query field follows.
+template <class A>
+void fields(A& a, TopKRequest& v) {
+  a(v.k, v.nprobe, v.rerank);
+  a.tag(v.mode, kTopKModeCandidates);
+  a.tag(v.kind, kTopKKindVector);
+  switch (v.kind) {
+    case kTopKKindId:
+      a(v.id);
+      break;
+    case kTopKKindWord:
+      a(v.word);
+      break;
+    case kTopKKindVector:
+      a(v.vector);
+      break;
+    default:
+      throw WireError("bad topk query kind");
+  }
+}
+
+template <class A>
+void fields(A& a, ann::TopKHit& v) {
+  a(v.id, v.exact, v.adc);
+}
+
+template <class A>
+void fields(A& a, ann::TopKResult& v) {
+  a(v.version, v.cells_probed, v.shortlist, v.flags, v.hits);
+}
+
+template <class A>
+void fields(A& a, obs::WindowSlice& v) {
+  a(v.epoch, v.requests, v.errors, v.latency);
+}
+
+template <class A>
+void fields(A& a, obs::WindowedSnapshot& v) {
+  a(v.slice_us, v.now_us, v.slices);
+  // An all-empty snapshot may carry slice_us 0 (nothing recorded yet);
+  // actual slices without a slice width are undecodable nonsense.
+  a.check([&] { return v.slices.empty() || v.slice_us != 0; },
+          "windowed slice width is zero");
+  // The merge contract requires strictly ascending epochs; a hostile
+  // frame must not smuggle duplicates past it.
+  a.check(
+      [&] {
+        for (std::size_t i = 1; i < v.slices.size(); ++i) {
+          if (v.slices[i].epoch <= v.slices[i - 1].epoch) return false;
+        }
+        return true;
+      },
+      "windowed slices out of order");
+}
+
+template <class A>
+void fields(A& a, obs::HeavyHitter& v) {
+  a(v.key, v.count, v.error);
+}
+
+template <class A>
+void fields(A& a, obs::SketchSnapshot& v) {
+  a(v.capacity, v.total, v.entries);
+}
+
+template <class A>
+void fields(A& a, obs::HeatRange& v) {
+  a(v.row_begin, v.row_end);
+  a.check([&] { return v.row_end >= v.row_begin; },
+          "heat range bounds inverted");
+  a(v.buckets);
+}
+
+template <class A>
+void fields(A& a, obs::HeatMapSnapshot& v) {
+  a(v.total, v.elapsed_us, v.ranges);
+}
+
+template <class A>
+void fields(A& a, HeatReport& v) {
+  a(v.windowed, v.sketch, v.heat);
+}
+
+// ---- archives --------------------------------------------------------------
+
+template <class T>
+std::size_t min_wire_size();
+
+template <class T>
+struct IsVector : std::false_type {};
+template <class T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+/// The visitor every field list is walked by. An archive derives from
+/// Archive<Self> and supplies:
+///   kReads                  true when the walk fills values in
+///   scalar(T&)              one fixed-width number
+///   span(T*, n)             n numbers or chars as one copy
+///   count(u32& n, min)      a length prefix of n elements of ≥ min bytes
+///   tag_byte(u8&, max)      an enum or union tag byte, valid up to max
+///   present()               whether an optional trailing field follows
+///   check(pred, what)       a condition a reader must reject frames for
+template <class Self>
+class Archive {
+ public:
+  template <class... Ts>
+  void operator()(Ts&... vs) {
+    (visit(vs), ...);
+  }
+
+  /// An enum, or a u8 carrying one, as one byte valid up to `max`.
+  template <class E>
+  void tag(E& e, E max) {
+    std::uint8_t b = static_cast<std::uint8_t>(e);
+    self().tag_byte(b, static_cast<std::uint8_t>(max));
+    if constexpr (Self::kReads) e = static_cast<E>(b);
+  }
+
+  /// A field older peers omit: always written, read only when bytes
+  /// remain. It must be the payload's last field.
+  template <class T>
+  void trailing(T& v) {
+    if (self().present()) visit(v);
+  }
+
+ private:
+  Self& self() { return static_cast<Self&>(*this); }
+
+  template <class T>
+  void visit(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = v ? 1 : 0;
+      self().scalar(b);
+      if constexpr (Self::kReads) v = b != 0;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      self().scalar(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      std::uint32_t n = static_cast<std::uint32_t>(v.size());
+      self().count(n, 1);
+      if constexpr (Self::kReads) v.resize(n);
+      self().span(v.data(), v.size());
+    } else if constexpr (IsVector<T>::value) {
+      using E = typename T::value_type;
+      std::uint32_t n = static_cast<std::uint32_t>(v.size());
+      self().count(n, min_wire_size<E>());
+      if constexpr (Self::kReads) v.resize(n);
+      if constexpr (std::is_arithmetic_v<E> && !std::is_same_v<E, bool>) {
+        self().span(v.data(), v.size());
+      } else {
+        for (E& e : v) visit(e);
+      }
+    } else {
+      fields(self(), v);
+    }
+  }
+};
+
+/// Append-only payload builder.
+class WireWriter : public Archive<WireWriter> {
+ public:
+  static constexpr bool kReads = false;
+
+  /// Pre-size the buffer when the payload size is known — saves the
+  /// growth reallocations on large frames.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  const std::vector<std::uint8_t>& buffer() const { return buf_; }
+
+  // Raw primitives, for tests that hand-craft hostile payloads.
+  void u8(std::uint8_t v) { scalar(v); }
+  void u16(std::uint16_t v) { scalar(v); }
+  void u32(std::uint32_t v) { scalar(v); }
+  void u64(std::uint64_t v) { scalar(v); }
+  void f32(float v) { scalar(v); }
+  void f64(double v) { scalar(v); }
+  void str(const std::string& s) { encode_string(s); }
+  void f32s(const float* data, std::size_t n) { span(data, n); }
+  void bytes(const std::uint8_t* data, std::size_t n) { span(data, n); }
+
+  // Archive primitives.
+  template <class T>
+  void scalar(const T& v) {
+    raw(&v, sizeof(T));
+  }
+  template <class T>
+  void span(const T* data, std::size_t n) {
+    raw(data, n * sizeof(T));
+  }
+  void count(std::uint32_t n, std::size_t) { scalar(n); }
+  void tag_byte(std::uint8_t b, std::uint8_t) { scalar(b); }
+  static bool present() { return true; }
+  template <class P>
+  void check(const P&, const char*) {}
+
+ private:
+  void encode_string(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s.data(), s.size());
+  }
+  // resize+memcpy rather than insert: identical behavior, but GCC 12's
+  // -Wstringop-overflow false-fires on the inlined insert-into-empty-
+  // vector memmove in some TUs.
+  void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be an empty vector's null data()
+    const std::size_t old = buf_.size();
+    buf_.resize(old + n);
+    std::memcpy(buf_.data() + old, p, n);
+  }
+  std::vector<std::uint8_t> buf_;
+};
+
+/// Bounds-checked payload consumer over a received frame.
+class WireReader : public Archive<WireReader> {
+ public:
+  static constexpr bool kReads = true;
+
+  WireReader(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+  explicit WireReader(const std::vector<std::uint8_t>& payload)
+      : WireReader(payload.data(), payload.size()) {}
+
+  // Raw primitives, for tests that inspect payloads byte by byte.
+  std::uint8_t u8() { return take<std::uint8_t>(); }
+  std::uint16_t u16() { return take<std::uint16_t>(); }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  std::uint64_t u64() { return take<std::uint64_t>(); }
+  float f32() { return take<float>(); }
+  double f64() { return take<double>(); }
+  std::string str() {
+    std::string s;
+    (*this)(s);
+    return s;
+  }
+
+  std::size_t remaining() const { return size_ - pos_; }
+  /// Ends every decode: trailing bytes mean the peer and we disagree
+  /// about the layout, which should fail loudly, not silently.
+  void expect_done() {
+    if (pos_ != size_) {
+      throw WireError("trailing bytes in payload: " +
+                      std::to_string(size_ - pos_));
+    }
+    decoded_ = true;
+  }
+  /// True once expect_done() passed: the whole payload decoded.
+  bool decoded() const { return decoded_; }
+
+  // Archive primitives.
+  template <class T>
+  void scalar(T& v) {
+    v = take<T>();
+  }
+  // n == 0 returns early: `out` may then be an empty vector's null data(),
+  // and memcpy with a null pointer is undefined even for zero bytes.
+  template <class T>
+  void span(T* out, std::size_t n) {
+    if (n == 0) return;
+    need(n * sizeof(T));
+    std::memcpy(out, data_ + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+  }
+  /// A count the payload cannot hold throws before anything is allocated.
+  void count(std::uint32_t& n, std::size_t min_element_bytes) {
+    n = u32();
+    if (n > remaining() / min_element_bytes) {
+      throw WireError("count " + std::to_string(n) + " exceeds payload");
+    }
+  }
+  void tag_byte(std::uint8_t& b, std::uint8_t max) {
+    b = u8();
+    if (b > max) throw WireError("bad tag byte " + std::to_string(b));
+  }
+  bool present() const { return remaining() > 0; }
+  template <class P>
+  void check(const P& ok, const char* what) {
+    if (!ok()) throw WireError(what);
+  }
+
+ private:
+  void need(std::size_t n) const {
+    if (size_ - pos_ < n) throw WireError("truncated payload");
+  }
+  template <typename T>
+  T take() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  bool decoded_ = false;
+};
+
+/// Adds up the wire bytes of a default value: empty strings and vectors,
+/// no optional trailing field, a union's default alternative.
+class MinWireSize : public Archive<MinWireSize> {
+ public:
+  static constexpr bool kReads = false;
+  std::size_t bytes = 0;
+
+  template <class T>
+  void scalar(const T&) {
+    bytes += sizeof(T);
+  }
+  template <class T>
+  void span(const T*, std::size_t n) {
+    bytes += n * sizeof(T);
+  }
+  void count(std::uint32_t, std::size_t) { bytes += sizeof(std::uint32_t); }
+  void tag_byte(std::uint8_t, std::uint8_t) { bytes += 1; }
+  static bool present() { return false; }
+  template <class P>
+  void check(const P&, const char*) {}
+};
+
+/// The fewest bytes a T occupies on the wire: the divisor of every count
+/// guard, so a length prefix can never promise more elements than the
+/// bytes left could hold.
+template <class T>
+std::size_t min_wire_size() {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else {
+    static const std::size_t bytes = [] {
+      T v{};
+      MinWireSize m;
+      m(v);
+      return m.bytes;
+    }();
+    return bytes;
+  }
+}
+
+/// Appends `v`'s payload to `w`.
+template <class T>
+void encode(const T& v, WireWriter* w) {
+  (*w)(const_cast<T&>(v));  // a writer only reads the value
+}
+
+/// Decodes a whole payload: throws WireError on malformed, truncated or
+/// over-long input.
+template <class T>
+T decode(WireReader* r) {
+  T v{};
+  (*r)(v);
+  r->expect_done();
+  return v;
+}
+
+template <class T>
+T decode(const std::vector<std::uint8_t>& payload) {
+  WireReader r(payload);
+  return decode<T>(&r);
+}
+
+// ---- frame I/O ---------------------------------------------------------
+
+/// Builds one complete frame (length prefix + header + optional trace
+/// extension + payload) as a contiguous buffer. write_frame sends exactly
+/// this; it is exposed so the fault injector can send a deliberately
+/// truncated prefix of a well-formed frame.
+std::vector<std::uint8_t> encode_frame(MsgType type, const WireWriter& payload,
+                                       const obs::TraceContext& trace);
+
+/// Writes one frame (length prefix + header + payload) in a single send.
+/// When `trace` is valid, it rides in the frame extension.
+void write_frame(TcpStream& stream, MsgType type, const WireWriter& payload,
+                 const obs::TraceContext& trace = {});
+
+/// Encodes `payload` and writes it as one `type` frame.
+template <class T>
+void write_message(TcpStream& stream, MsgType type, const T& payload,
+                   const obs::TraceContext& trace = {}) {
+  WireWriter w;
+  encode(payload, &w);
+  write_frame(stream, type, w, trace);
+}
+
+/// Reads one frame. Returns false on clean EOF before a frame starts.
+/// Throws WireError on bad magic/version/length or an extension length
+/// exceeding the frame, NetError on socket failures or EOF mid-frame.
+/// When `trace` is non-null it receives the frame's TraceContext (a
+/// zeroed context when the frame carried none).
+bool read_frame(TcpStream& stream, MsgType* type,
+                std::vector<std::uint8_t>* payload,
+                obs::TraceContext* trace = nullptr);
 
 }  // namespace anchor::net

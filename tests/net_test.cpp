@@ -15,8 +15,10 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/client.hpp"
@@ -77,9 +79,9 @@ TEST(Wire, LookupResultRoundTripsThroughSliceEncoding) {
   result.oov = {0, 1, 0};
 
   WireWriter w;
-  encode_lookup_result(result, &w);
+  encode(result, &w);
   WireReader r(w.buffer());
-  const serve::LookupResult back = decode_lookup_result(&r);
+  const serve::LookupResult back = decode<serve::LookupResult>(&r);
   r.expect_done();
   EXPECT_EQ(back.version, "v42");
   EXPECT_EQ(back.dim, 3u);
@@ -88,9 +90,9 @@ TEST(Wire, LookupResultRoundTripsThroughSliceEncoding) {
 
   // Middle slice only.
   WireWriter ws;
-  encode_lookup_result_slice(result, 1, 2, &ws);
+  encode(LookupRows{&result, 1, 2}, &ws);
   WireReader rs(ws.buffer());
-  const serve::LookupResult mid = decode_lookup_result(&rs);
+  const serve::LookupResult mid = decode<serve::LookupResult>(&rs);
   EXPECT_EQ(mid.size(), 2u);
   EXPECT_EQ(mid.vectors, (std::vector<float>{4, 5, 6, 7, 8, 9}));
   EXPECT_EQ(mid.oov, (std::vector<std::uint8_t>{1, 0}));
@@ -103,7 +105,7 @@ TEST(Wire, LookupResultRoundTripsThroughSliceEncoding) {
   hostile.u32(0xFFFFFFFFu);  // n
   hostile.u32(0);            // dim
   WireReader hostile_reader(hostile.buffer());
-  EXPECT_THROW(decode_lookup_result(&hostile_reader), WireError);
+  EXPECT_THROW(decode<serve::LookupResult>(&hostile_reader), WireError);
 }
 
 TEST(Wire, GateReportAndStatsRoundTrip) {
@@ -118,9 +120,9 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   report.reason = "eis=0.125 (warn)";
 
   WireWriter w;
-  encode_gate_report(report, &w);
+  encode(report, &w);
   WireReader r(w.buffer());
-  const serve::GateReport back = decode_gate_report(&r);
+  const serve::GateReport back = decode<serve::GateReport>(&r);
   r.expect_done();
   EXPECT_EQ(back.old_version, "a");
   EXPECT_EQ(back.new_version, "b");
@@ -139,9 +141,9 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   stats.batcher.p99_latency_us = 42.0;
   stats.encoding = "pq:4x8";
   WireWriter sw;
-  encode_server_stats(stats, &sw);
+  encode(stats, &sw);
   WireReader sr(sw.buffer());
-  const ServerStatsReport sback = decode_server_stats(&sr);
+  const ServerStatsReport sback = decode<ServerStatsReport>(&sr);
   sr.expect_done();
   EXPECT_EQ(sback.live_version, "live");
   EXPECT_EQ(sback.service.lookups, 7u);
@@ -154,10 +156,10 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   // encoding field must decode as absent (empty), not throw.
   WireWriter v3;
   v3.str(stats.live_version);
-  encode_stats_snapshot(stats.service, &v3);
-  encode_stats_snapshot(stats.batcher, &v3);
+  encode(stats.service, &v3);
+  encode(stats.batcher, &v3);
   WireReader v3r(v3.buffer());
-  const ServerStatsReport old_peer = decode_server_stats(&v3r);
+  const ServerStatsReport old_peer = decode<ServerStatsReport>(&v3r);
   v3r.expect_done();
   EXPECT_EQ(old_peer.live_version, "live");
   EXPECT_EQ(old_peer.batcher.batches, 3u);
@@ -169,7 +171,7 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   cw.str("b");
   cw.u8(9);  // not a GateDecision
   WireReader cr(cw.buffer());
-  EXPECT_THROW(decode_gate_report(&cr), WireError);
+  EXPECT_THROW(decode<serve::GateReport>(&cr), WireError);
 }
 
 TEST(Wire, StatsSnapshotReservedSlotsAreZeroAndIgnoredOnRead) {
@@ -181,7 +183,7 @@ TEST(Wire, StatsSnapshotReservedSlotsAreZeroAndIgnoredOnRead) {
   s.batches = 2;
   s.oov_fallbacks = 1;
   WireWriter w;
-  encode_stats_snapshot(s, &w);
+  encode(s, &w);
   WireReader raw(w.buffer());
   EXPECT_EQ(raw.u64(), 11u);
   EXPECT_EQ(raw.u64(), 2u);
@@ -200,9 +202,9 @@ TEST(Wire, StatsSnapshotReservedSlotsAreZeroAndIgnoredOnRead) {
   old.f64(4.5);  // qps
   old.f64(40.0);
   old.f64(41.0);
-  encode_histogram(latency.snapshot(), &old);
+  encode(latency.snapshot(), &old);
   WireReader r(old.buffer());
-  const serve::StatsSnapshot back = decode_stats_snapshot(&r);
+  const serve::StatsSnapshot back = decode<serve::StatsSnapshot>(&r);
   r.expect_done();
   EXPECT_EQ(back.lookups, 9u);
   EXPECT_EQ(back.batches, 3u);
@@ -236,9 +238,9 @@ TEST(Wire, CanaryStatusRoundTrip) {
   status.reason = "still watching";
 
   WireWriter w;
-  encode_canary_status(status, &w);
+  encode(status, &w);
   WireReader r(w.buffer());
-  const CanaryStatusReport back = decode_canary_status(&r);
+  const CanaryStatusReport back = decode<CanaryStatusReport>(&r);
   r.expect_done();
   EXPECT_EQ(back.state, serve::CanaryState::kRunning);
   EXPECT_EQ(back.incumbent, "v1");
@@ -259,17 +261,17 @@ TEST(Wire, CanaryStatusRoundTrip) {
   WireWriter bad;
   bad.u8(42);
   WireReader bad_reader(bad.buffer());
-  EXPECT_THROW(decode_canary_status(&bad_reader), WireError);
+  EXPECT_THROW(decode<CanaryStatusReport>(&bad_reader), WireError);
 
   // A worst-key count the payload cannot hold must throw pre-allocation.
   WireWriter hostile;
   serve::CanaryStatsSnapshot empty;
-  encode_canary_stats(empty, &hostile);
+  encode(empty, &hostile);
   std::vector<std::uint8_t> bytes = hostile.buffer();
   bytes[bytes.size() - 1] = 0xFF;  // worst-key count → huge
   bytes[bytes.size() - 2] = 0xFF;
   WireReader hostile_reader(bytes.data(), bytes.size());
-  EXPECT_THROW(decode_canary_stats(&hostile_reader), WireError);
+  EXPECT_THROW(decode<serve::CanaryStatsSnapshot>(&hostile_reader), WireError);
 }
 
 TEST(Wire, RolloutStatusRoundTrip) {
@@ -284,9 +286,9 @@ TEST(Wire, RolloutStatusRoundTrip) {
   st.reason = "shard 2/3 refused";
 
   WireWriter w;
-  encode_rollout_status(st, &w);
+  encode(st, &w);
   WireReader r(w.buffer());
-  const RolloutStatusReport back = decode_rollout_status(&r);
+  const RolloutStatusReport back = decode<RolloutStatusReport>(&r);
   r.expect_done();
   EXPECT_EQ(back.state, RolloutState::kRolledBack);
   EXPECT_TRUE(back.terminal());
@@ -304,7 +306,7 @@ TEST(Wire, RolloutStatusRoundTrip) {
   WireWriter bad;
   bad.u8(99);
   WireReader bad_reader(bad.buffer());
-  EXPECT_THROW(decode_rollout_status(&bad_reader), WireError);
+  EXPECT_THROW(decode<RolloutStatusReport>(&bad_reader), WireError);
 }
 
 TEST(Wire, HistogramCodecRoundTripsSparsely) {
@@ -315,12 +317,12 @@ TEST(Wire, HistogramCodecRoundTripsSparsely) {
   const obs::HistogramSnapshot s = h.snapshot();
 
   WireWriter w;
-  encode_histogram(s, &w);
+  encode(s, &w);
   // Sparse on the wire: 3 occupied buckets, nowhere near the dense
   // kNumBuckets × 8 bytes.
   EXPECT_LT(w.buffer().size(), 100u);
   WireReader r(w.buffer());
-  const obs::HistogramSnapshot back = decode_histogram(&r);
+  const obs::HistogramSnapshot back = decode<obs::HistogramSnapshot>(&r);
   r.expect_done();
   EXPECT_EQ(back.count, s.count);
   EXPECT_EQ(back.sum_units, s.sum_units);
@@ -331,9 +333,9 @@ TEST(Wire, HistogramCodecRoundTripsSparsely) {
 
   // Empty histograms cost 36 bytes and decode back to empty.
   WireWriter we;
-  encode_histogram(obs::HistogramSnapshot{}, &we);
+  encode(obs::HistogramSnapshot{}, &we);
   WireReader re(we.buffer());
-  EXPECT_EQ(decode_histogram(&re).count, 0u);
+  EXPECT_EQ(decode<obs::HistogramSnapshot>(&re).count, 0u);
 
   // Hostile: a nonzero-bucket count the payload cannot hold must throw
   // before allocating.
@@ -341,7 +343,7 @@ TEST(Wire, HistogramCodecRoundTripsSparsely) {
   for (int i = 0; i < 4; ++i) hostile.u64(1);
   hostile.u32(0xFFFFFFFFu);
   WireReader hostile_reader(hostile.buffer());
-  EXPECT_THROW(decode_histogram(&hostile_reader), WireError);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(&hostile_reader), WireError);
 
   // Hostile: a bucket index past kNumBuckets must throw, not scribble.
   WireWriter oob;
@@ -350,7 +352,38 @@ TEST(Wire, HistogramCodecRoundTripsSparsely) {
   oob.u16(60000);
   oob.u64(1);
   WireReader oob_reader(oob.buffer());
-  EXPECT_THROW(decode_histogram(&oob_reader), WireError);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(&oob_reader), WireError);
+}
+
+TEST(Wire, HistogramDecoderRejectsNonCanonicalEntries) {
+  // PROTOCOL.md: entries are the buckets with a nonzero count, by strictly
+  // ascending idx. Writers only emit that form; a decoder that accepted a
+  // repeated index would silently let the later entry overwrite the
+  // earlier one.
+  const auto with_entries =
+      [](const std::vector<std::pair<std::uint16_t, std::uint64_t>>& e) {
+        WireWriter w;
+        for (int i = 0; i < 4; ++i) w.u64(1);
+        w.u32(static_cast<std::uint32_t>(e.size()));
+        for (const auto& [idx, count] : e) {
+          w.u16(idx);
+          w.u64(count);
+        }
+        return w.buffer();
+      };
+  EXPECT_NO_THROW(
+      decode<obs::HistogramSnapshot>(with_entries({{5, 1}, {7, 2}})));
+  // 66 bytes: a repeated index and a zero-count entry.
+  const std::vector<std::uint8_t> repeated_and_zero =
+      with_entries({{5, 1}, {5, 2}, {7, 0}});
+  ASSERT_EQ(repeated_and_zero.size(), 66u);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(repeated_and_zero), WireError);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(with_entries({{5, 1}, {5, 2}})),
+               WireError);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(with_entries({{7, 1}, {5, 2}})),
+               WireError);
+  EXPECT_THROW(decode<obs::HistogramSnapshot>(with_entries({{5, 0}})),
+               WireError);
 }
 
 TEST(Wire, MetricsReportRoundTrip) {
@@ -374,9 +407,9 @@ TEST(Wire, MetricsReportRoundTrip) {
   m.metrics = {c, g, hist};
 
   WireWriter w;
-  encode_metrics_report(m, &w);
+  encode(m, &w);
   WireReader r(w.buffer());
-  const obs::MetricsReport back = decode_metrics_report(&r);
+  const obs::MetricsReport back = decode<obs::MetricsReport>(&r);
   r.expect_done();
   ASSERT_EQ(back.metrics.size(), 3u);
   EXPECT_EQ(back.metrics[0].kind, obs::MetricKind::kCounter);
@@ -394,7 +427,7 @@ TEST(Wire, MetricsReportRoundTrip) {
   bad.u32(1);
   bad.u8(9);  // no such kind
   WireReader bad_reader(bad.buffer());
-  EXPECT_THROW(decode_metrics_report(&bad_reader), WireError);
+  EXPECT_THROW(decode<obs::MetricsReport>(&bad_reader), WireError);
 }
 
 TEST(Wire, TopKRequestAndResultRoundTrip) {
@@ -410,9 +443,9 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     req.word = "w42";
     req.vector = {1.5f, -2.25f, 0.0f};
     WireWriter w;
-    encode_topk_request(req, &w);
+    encode(req, &w);
     WireReader r(w.buffer());
-    const TopKRequest back = decode_topk_request(&r);
+    const TopKRequest back = decode<TopKRequest>(&r);
     r.expect_done();
     EXPECT_EQ(back.k, req.k);
     EXPECT_EQ(back.nprobe, req.nprobe);
@@ -431,9 +464,9 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
   result.flags = ann::kTopKFlagPartial;
   result.hits = {{11, 0.5f, 0.625f}, {900, 1.75f, 1.5f}};
   WireWriter w;
-  encode_topk_result(result, &w);
+  encode(result, &w);
   WireReader r(w.buffer());
-  const ann::TopKResult back = decode_topk_result(&r);
+  const ann::TopKResult back = decode<ann::TopKResult>(&r);
   r.expect_done();
   EXPECT_EQ(back.version, "v7");
   EXPECT_EQ(back.cells_probed, 16u);
@@ -451,9 +484,9 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     TopKRequest bad;
     bad.mode = 9;
     WireWriter bw;
-    encode_topk_request(bad, &bw);
+    encode(bad, &bw);
     WireReader br(bw.buffer());
-    EXPECT_THROW(decode_topk_request(&br), WireError);
+    EXPECT_THROW(decode<TopKRequest>(&br), WireError);
   }
   {
     // The encoder refuses an unknown kind outright; hand-craft the bytes
@@ -463,7 +496,7 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
         {
           WireWriter bw;
           bad.kind = 7;
-          encode_topk_request(bad, &bw);
+          encode(bad, &bw);
         },
         WireError);
     WireWriter bw;
@@ -473,7 +506,7 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     bw.u8(kTopKModeFinal);
     bw.u8(7);  // no such kind
     WireReader br(bw.buffer());
-    EXPECT_THROW(decode_topk_request(&br), WireError);
+    EXPECT_THROW(decode<TopKRequest>(&br), WireError);
   }
   {
     WireWriter bw;
@@ -483,7 +516,7 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     bw.u8(0);
     bw.u32(1000000);  // claims a million hits, carries none
     WireReader br(bw.buffer());
-    EXPECT_THROW(decode_topk_result(&br), WireError);
+    EXPECT_THROW(decode<ann::TopKResult>(&br), WireError);
   }
 }
 
@@ -510,9 +543,9 @@ TEST(Wire, HeatReportRoundTripsBitIdentically) {
   report.heat = load.heat.snapshot();
 
   WireWriter w;
-  encode_heat_report(report, &w);
+  encode(report, &w);
   WireReader r(w.buffer());
-  const HeatReport back = decode_heat_report(&r);
+  const HeatReport back = decode<HeatReport>(&r);
   r.expect_done();
   ASSERT_EQ(back.windowed.slices.size(), 2u);
   EXPECT_EQ(back.windowed.slice_us, report.windowed.slice_us);
@@ -544,7 +577,7 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
     w.u64(0);          // now_us
     w.u32(0xFFFFFFFFu);
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_windowed_snapshot(&r), WireError);
+    EXPECT_THROW(decode<obs::WindowedSnapshot>(&r), WireError);
   }
   // Windowed: nonzero slices with a zero slice width are nonsense.
   {
@@ -553,7 +586,7 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
     w.u64(0);
     w.u32(1);
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_windowed_snapshot(&r), WireError);
+    EXPECT_THROW(decode<obs::WindowedSnapshot>(&r), WireError);
   }
   // Windowed: duplicate epochs would double-count in a merge.
   {
@@ -565,10 +598,10 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
       w.u64(3);  // same epoch twice
       w.u64(1);
       w.u64(0);
-      encode_histogram(obs::HistogramSnapshot{}, &w);
+      encode(obs::HistogramSnapshot{}, &w);
     }
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_windowed_snapshot(&r), WireError);
+    EXPECT_THROW(decode<obs::WindowedSnapshot>(&r), WireError);
   }
   // Sketch: entry count exceeding the payload must throw pre-allocation.
   {
@@ -577,7 +610,7 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
     w.u64(100);
     w.u32(0xFFFFFFFFu);
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_sketch_snapshot(&r), WireError);
+    EXPECT_THROW(decode<obs::SketchSnapshot>(&r), WireError);
   }
   // Heat: inverted range bounds.
   {
@@ -589,7 +622,7 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
     w.u64(10);  // row_end < row_begin
     w.u32(0);
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_heat_map(&r), WireError);
+    EXPECT_THROW(decode<obs::HeatMapSnapshot>(&r), WireError);
   }
   // Heat: bucket count exceeding the payload.
   {
@@ -601,7 +634,7 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
     w.u64(10);
     w.u32(0xFFFFFFFFu);
     WireReader r(w.buffer());
-    EXPECT_THROW(decode_heat_map(&r), WireError);
+    EXPECT_THROW(decode<obs::HeatMapSnapshot>(&r), WireError);
   }
   // Truncations of a valid frame never crash: throw or (rarely) decode a
   // shorter valid prefix — same contract as the other codec fuzz tests.
@@ -611,13 +644,13 @@ TEST(Wire, HeatCodecsRejectHostileFrames) {
   stats.record(10.0, false);
   HeatReport report;
   report.windowed = stats.snapshot();
-  encode_heat_report(report, &valid);
+  encode(report, &valid);
   for (std::size_t cut = 0; cut < valid.buffer().size(); ++cut) {
     std::vector<std::uint8_t> trunc(valid.buffer().begin(),
                                     valid.buffer().begin() + cut);
     WireReader r(trunc);
     try {
-      decode_heat_report(&r);
+      decode<HeatReport>(&r);
     } catch (const WireError&) {
     }
   }
@@ -1143,39 +1176,203 @@ TEST(WireGolden, ErrorFrameBytesArePinned) {
 // The decoders face attacker-controlled bytes; under fuzzed input every
 // outcome must be "decoded cleanly" or "threw WireError" — never a crash,
 // an overread (ASan job), or a length-driven huge allocation.
+//
+// Two more archives walk the same field lists as WireWriter and
+// WireReader. GenerateArchive fills a value with small random fields; it
+// reads, so every reader check applies, and a draw a check rejects is
+// drawn again. MutateArchive encodes a value with some of its counts,
+// tags and enum bytes replaced and some optional trailing fields left
+// out.
 
-template <typename Decoder>
-void fuzz_decoder(const Decoder& decode, std::uint64_t seed) {
-  Rng rng(seed);
-  for (int iter = 0; iter < 800; ++iter) {
-    const std::size_t len = rng.index(96);
-    std::vector<std::uint8_t> payload(len);
-    for (auto& b : payload) {
-      b = static_cast<std::uint8_t>(rng.index(256));
+struct Redraw {};
+
+class GenerateArchive : public Archive<GenerateArchive> {
+ public:
+  static constexpr bool kReads = true;
+  explicit GenerateArchive(Rng& rng) : rng_(rng) {}
+
+  template <class T>
+  void scalar(T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      v = rng_.bernoulli(0.05) ? std::numeric_limits<T>::quiet_NaN()
+                               : static_cast<T>(rng_.normal(0.0, 100.0));
+    } else {
+      v = rng_.bernoulli(0.1) ? std::numeric_limits<T>::max()
+                              : static_cast<T>(rng_.index(8));
     }
-    // Bias some bytes toward small values so length-prefixed fields
-    // occasionally parse a few levels deep instead of throwing at the
-    // first u32.
-    if (len >= 4 && rng.bernoulli(0.5)) {
-      payload[1] = payload[2] = payload[3] = 0;
+  }
+  template <class T>
+  void span(T* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) scalar(data[i]);
+  }
+  void count(std::uint32_t& n, std::size_t) {
+    n = static_cast<std::uint32_t>(rng_.index(4));
+  }
+  void tag_byte(std::uint8_t& b, std::uint8_t max) {
+    b = static_cast<std::uint8_t>(rng_.index(max + 1u));
+  }
+  bool present() { return rng_.bernoulli(0.5); }
+  template <class P>
+  void check(const P& ok, const char*) {
+    if (!ok()) throw Redraw{};
+  }
+
+ private:
+  Rng& rng_;
+};
+
+class MutateArchive : public Archive<MutateArchive> {
+ public:
+  static constexpr bool kReads = false;
+  /// Each count and tag is replaced with probability `p`; each optional
+  /// trailing field is left out with probability `p_omit`.
+  MutateArchive(Rng& rng, double p, double p_omit)
+      : rng_(rng), p_(p), p_omit_(p_omit) {}
+
+  template <class T>
+  void scalar(const T& v) {
+    out.scalar(v);
+  }
+  template <class T>
+  void span(const T* data, std::size_t n) {
+    out.span(data, n);
+  }
+  void count(std::uint32_t n, std::size_t) {
+    if (hit(p_)) {
+      const std::uint32_t pick[] = {n + 1, n - 1, 0, 2 * n + 3, 0xFFFFFFFFu,
+                                    static_cast<std::uint32_t>(
+                                        rng_.next_u64())};
+      n = pick[rng_.index(6)];
     }
+    out.u32(n);
+  }
+  void tag_byte(std::uint8_t b, std::uint8_t) {
+    out.u8(hit(p_) ? static_cast<std::uint8_t>(rng_.index(256)) : b);
+  }
+  bool present() { return !hit(p_omit_); }
+  template <class P>
+  void check(const P&, const char*) {}
+
+  WireWriter out;
+
+ private:
+  bool hit(double p) { return p > 0.0 && rng_.bernoulli(p); }
+  Rng& rng_;
+  double p_;
+  double p_omit_;
+};
+
+template <class T>
+T generate(Rng& rng) {
+  for (int attempt = 0; attempt < 100000; ++attempt) {
     try {
-      WireReader reader(payload);
-      (void)decode(&reader);
-    } catch (const WireError&) {
-      // expected for malformed input
+      T v{};
+      GenerateArchive g(rng);
+      g(v);
+      return v;
+    } catch (const Redraw&) {
+    }
+  }
+  ADD_FAILURE() << "no valid draw";
+  return T{};
+}
+
+template <class T>
+std::vector<std::uint8_t> bytes_of(const T& v) {
+  WireWriter w;
+  encode(v, &w);
+  return w.buffer();
+}
+
+/// Generated values round-trip; every truncation throws (except the one
+/// that drops exactly the optional trailing fields, which older peers
+/// send); mutated counts, tags and trailing fields and flipped bytes
+/// either throw WireError or decode to a value that round-trips again.
+template <class T>
+void fuzz_payload(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int iter = 0; iter < 40; ++iter) {
+    T x = generate<T>(rng);
+    const std::vector<std::uint8_t> bytes = bytes_of(x);
+    ASSERT_EQ(bytes_of(decode<T>(bytes)), bytes) << "iteration " << iter;
+
+    // The encoding without its optional trailing fields — what an older
+    // peer sends — is the one truncation that decodes.
+    MutateArchive older_peer(rng, 0.0, 1.0);
+    older_peer(x);
+    const std::size_t short_size = older_peer.out.buffer().size();
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      WireReader r(bytes.data(), cut);
+      if (cut == short_size) {
+        EXPECT_NO_THROW(decode<T>(&r)) << "iteration " << iter;
+      } else {
+        EXPECT_THROW(decode<T>(&r), WireError)
+            << "iteration " << iter << " cut " << cut;
+      }
+    }
+
+    for (int m = 0; m < 20; ++m) {
+      std::vector<std::uint8_t> mutated;
+      if (m % 2 == 0) {
+        MutateArchive mut(rng, 0.3, 0.3);
+        mut(x);
+        mutated = mut.out.buffer();
+      } else if (!bytes.empty()) {
+        mutated = bytes;
+        mutated[rng.index(mutated.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.index(8));
+      }
+      try {
+        const std::vector<std::uint8_t> again = bytes_of(decode<T>(mutated));
+        ASSERT_EQ(bytes_of(decode<T>(again)), again)
+            << "iteration " << iter << " mutation " << m;
+      } catch (const WireError&) {
+      }
     }
   }
 }
 
-TEST(WireFuzz, RandomPayloadsNeverCrashTheDecoders) {
-  fuzz_decoder([](WireReader* r) { return decode_lookup_result(r); }, 91);
-  fuzz_decoder([](WireReader* r) { return decode_gate_report(r); }, 92);
-  fuzz_decoder([](WireReader* r) { return decode_server_stats(r); }, 93);
-  fuzz_decoder([](WireReader* r) { return decode_canary_status(r); }, 94);
-  fuzz_decoder([](WireReader* r) { return decode_rollout_status(r); }, 95);
-  fuzz_decoder([](WireReader* r) { return decode_topk_request(r); }, 96);
-  fuzz_decoder([](WireReader* r) { return decode_topk_result(r); }, 97);
+TEST(WireFuzz, CountGuardsDivideByEachElementsMinimumWireSize) {
+  // Worked out from the field lists; these were hand-written divisors.
+  EXPECT_EQ(min_wire_size<std::uint64_t>(), 8u);        // lookup ids
+  EXPECT_EQ(min_wire_size<std::string>(), 4u);          // words
+  EXPECT_EQ(min_wire_size<HistogramBucket>(), 10u);
+  EXPECT_EQ(min_wire_size<obs::MetricValue>(), 17u);    // kind, 2 names, u64
+  EXPECT_EQ(min_wire_size<serve::CanaryWorstKey>(), 16u);
+  EXPECT_EQ(min_wire_size<ShardRolloutStatus>(), 5u);
+  EXPECT_EQ(min_wire_size<ann::TopKHit>(), 16u);
+  EXPECT_EQ(min_wire_size<obs::WindowSlice>(), 60u);    // 3 u64 + histogram
+  EXPECT_EQ(min_wire_size<obs::HeavyHitter>(), 24u);
+  EXPECT_EQ(min_wire_size<obs::HeatRange>(), 20u);
+  // A count one past what the bytes left could hold throws before any
+  // allocation.
+  WireWriter w;
+  w.u32(3);
+  for (int i = 0; i < 2 * 24 + 23; ++i) w.u8(0);
+  WireReader r(w.buffer());
+  std::uint32_t n = 0;
+  EXPECT_THROW(r.count(n, min_wire_size<obs::HeavyHitter>()), WireError);
+}
+
+TEST(WireFuzz, EveryPayloadRoundTripsAndRejectsTruncationsAndMutations) {
+  fuzz_payload<Empty>(90);
+  fuzz_payload<std::string>(91);
+  fuzz_payload<LookupIdsRequest>(92);
+  fuzz_payload<LookupWordsRequest>(93);
+  fuzz_payload<serve::LookupResult>(94);
+  fuzz_payload<PromoteRequest>(95);
+  fuzz_payload<serve::GateReport>(96);
+  fuzz_payload<CanaryStartRequest>(97);
+  fuzz_payload<AbortRequest>(98);
+  fuzz_payload<CanaryStatusReport>(99);
+  fuzz_payload<RolloutStartRequest>(100);
+  fuzz_payload<RolloutStatusReport>(101);
+  fuzz_payload<FaultSetRequest>(102);
+  fuzz_payload<ServerStatsReport>(103);
+  fuzz_payload<obs::MetricsReport>(104);
+  fuzz_payload<TopKRequest>(105);
+  fuzz_payload<ann::TopKResult>(106);
+  fuzz_payload<HeatReport>(107);
 }
 
 TEST(WireFuzz, TruncatedAndBitFlippedLookupResultsDecodeOrThrowCleanly) {
@@ -1187,7 +1384,7 @@ TEST(WireFuzz, TruncatedAndBitFlippedLookupResultsDecodeOrThrowCleanly) {
   }
   result.oov = {0, 1, 0, 0, 1};
   WireWriter w;
-  encode_lookup_result(result, &w);
+  encode(result, &w);
   const std::vector<std::uint8_t>& valid = w.buffer();
 
   // Every truncation prefix: decode must throw WireError or succeed on
@@ -1195,7 +1392,7 @@ TEST(WireFuzz, TruncatedAndBitFlippedLookupResultsDecodeOrThrowCleanly) {
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
     try {
       WireReader reader(valid.data(), cut);
-      (void)decode_lookup_result(&reader);
+      (void)decode<serve::LookupResult>(&reader);
     } catch (const WireError&) {
     }
   }
@@ -1208,7 +1405,7 @@ TEST(WireFuzz, TruncatedAndBitFlippedLookupResultsDecodeOrThrowCleanly) {
     flipped[byte] ^= static_cast<std::uint8_t>(1u << rng.index(8));
     try {
       WireReader reader(flipped);
-      const serve::LookupResult back = decode_lookup_result(&reader);
+      const serve::LookupResult back = decode<serve::LookupResult>(&reader);
       // When it does decode, the sizes must be internally consistent
       // (the guarded resize path).
       EXPECT_EQ(back.vectors.size(), back.size() * back.dim);

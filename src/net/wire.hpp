@@ -692,9 +692,6 @@ class WireWriter : public Archive<WireWriter> {
  public:
   static constexpr bool kReads = false;
 
-  /// Pre-size the buffer when the payload size is known — saves the
-  /// growth reallocations on large frames.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
   // Raw primitives, for tests that hand-craft hostile payloads.
@@ -704,7 +701,10 @@ class WireWriter : public Archive<WireWriter> {
   void u64(std::uint64_t v) { scalar(v); }
   void f32(float v) { scalar(v); }
   void f64(double v) { scalar(v); }
-  void str(const std::string& s) { encode_string(s); }
+  void str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s.data(), s.size());
+  }
   void f32s(const float* data, std::size_t n) { span(data, n); }
   void bytes(const std::uint8_t* data, std::size_t n) { span(data, n); }
 
@@ -724,10 +724,6 @@ class WireWriter : public Archive<WireWriter> {
   void check(const P&, const char*) {}
 
  private:
-  void encode_string(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
   // resize+memcpy rather than insert: identical behavior, but GCC 12's
   // -Wstringop-overflow false-fires on the inlined insert-into-empty-
   // vector memmove in some TUs.

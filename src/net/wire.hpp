@@ -705,7 +705,6 @@ class WireWriter : public Archive<WireWriter> {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  void f32s(const float* data, std::size_t n) { span(data, n); }
   void bytes(const std::uint8_t* data, std::size_t n) { span(data, n); }
 
   // Archive primitives.

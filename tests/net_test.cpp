@@ -1333,7 +1333,7 @@ void fuzz_payload(std::uint64_t seed) {
 }
 
 TEST(WireFuzz, CountGuardsDivideByEachElementsMinimumWireSize) {
-  // Worked out from the field lists; these were hand-written divisors.
+  // Worked out from each element type's field list.
   EXPECT_EQ(min_wire_size<std::uint64_t>(), 8u);        // lookup ids
   EXPECT_EQ(min_wire_size<std::string>(), 4u);          // words
   EXPECT_EQ(min_wire_size<HistogramBucket>(), 10u);

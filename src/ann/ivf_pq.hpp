@@ -135,6 +135,11 @@ class IvfPqIndex {
   /// re-encoding every row: the snapshot is PQ-mode and the artifacts
   /// (explicit or defaulted) match its encoding exactly.
   bool reused_snapshot_codes() const { return reused_snapshot_codes_; }
+  /// The encoded index as built: inverted-list offsets and ids, and the
+  /// cell-block code bytes (layout documented on the members below).
+  const std::vector<std::uint32_t>& cell_start() const { return cell_start_; }
+  const std::vector<std::uint32_t>& cell_ids() const { return cell_ids_; }
+  const std::vector<std::uint8_t>& codes() const { return codes_; }
 
   /// The candidate stage: the `rerank` rows with the smallest ADC distance
   /// among the nprobe probed cells, each scored exactly as well, sorted by

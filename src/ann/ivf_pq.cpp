@@ -7,6 +7,7 @@
 #include "compress/pq.hpp"
 #include "la/kernels.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace anchor::ann {
 namespace {
@@ -33,26 +34,29 @@ AnnConfig clamp_config(const AnnConfig& config, std::size_t n,
   return c;
 }
 
-/// Index of the centroid nearest to `v` (L2²; first minimum wins, so ties
-/// break toward the lowest centroid id). Scalar on purpose: encoding must
-/// be identical on every host regardless of the runtime ISA dispatch.
-std::size_t nearest_centroid(const float* v, const float* centroids,
-                             std::size_t count, std::size_t dim) {
+/// Rows encoded per parallel_for item: enough distance work to dwarf the
+/// cost of claiming it, few enough items to balance the pool.
+constexpr std::size_t kEncodeChunk = 256;
+
+/// Index of the smallest of row[0 .. count): the first minimum wins, so
+/// ties break toward the lowest centroid id.
+std::size_t argmin(const float* row, std::size_t count) {
   std::size_t best = 0;
-  float best_d = 0.0f;
-  for (std::size_t c = 0; c < count; ++c) {
-    const float* cent = centroids + c * dim;
-    float d = 0.0f;
-    for (std::size_t j = 0; j < dim; ++j) {
-      const float diff = v[j] - cent[j];
-      d += diff * diff;
-    }
-    if (c == 0 || d < best_d) {
-      best = c;
-      best_d = d;
-    }
+  for (std::size_t c = 1; c < count; ++c) {
+    if (row[c] < row[best]) best = c;
   }
   return best;
+}
+
+/// `count` × `dim` row-major centroids transposed into `out` (dim × count),
+/// the layout la::kernels::l2_sq_to_centroids reads.
+void transpose_into(const float* centroids, std::size_t count,
+                    std::size_t dim, float* out) {
+  for (std::size_t c = 0; c < count; ++c) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      out[j * count + c] = centroids[c * dim + j];
+    }
+  }
 }
 
 embed::Embedding snapshot_rows(const serve::EmbeddingSnapshot& snap) {
@@ -94,11 +98,16 @@ IvfPqArtifacts train_ivfpq(const embed::Embedding& rows,
   coarse_cfg.bits = c.nlist_bits == 0 ? 1 : c.nlist_bits;
   coarse_cfg.max_iters = c.train_iters;
   coarse_cfg.seed = c.seed;
-  const compress::PqResult coarse = compress::pq_quantize(rows, coarse_cfg);
-
   IvfPqArtifacts art;
   art.dim = rows.dim;
-  art.coarse = coarse.codebooks[0];
+  std::vector<std::uint32_t> cells;
+  {
+    // Scoped so the coarse reconstruction is freed before the residuals
+    // are built.
+    compress::PqResult coarse = compress::pq_quantize(rows, coarse_cfg);
+    art.coarse = std::move(coarse.codebooks[0]);
+    cells = std::move(coarse.codes);
+  }
   if (c.nlist_bits == 0) {
     // One cell: its centroid is the first (and only) trained centroid.
     art.coarse.resize(rows.dim);
@@ -107,10 +116,11 @@ IvfPqArtifacts train_ivfpq(const embed::Embedding& rows,
   // Stage 2 — residual codebooks, trained on (row − its cell centroid).
   // Residuals concentrate around 0 regardless of which cell a row landed
   // in, which is why one codebook set can be shared across all cells.
+  // Training only: the index encodes the rows itself.
   embed::Embedding residuals(rows.vocab_size, rows.dim);
   const std::size_t nlist = art.nlist();
   for (std::size_t w = 0; w < rows.vocab_size; ++w) {
-    std::size_t cell = coarse.codes[w];
+    std::size_t cell = cells[w];
     if (cell >= nlist) cell = 0;
     const float* cent = art.coarse.data() + cell * rows.dim;
     const float* src = rows.row(w);
@@ -122,7 +132,7 @@ IvfPqArtifacts train_ivfpq(const embed::Embedding& rows,
   pq_cfg.bits = c.pq_bits;
   pq_cfg.max_iters = c.train_iters;
   pq_cfg.seed = c.seed + 1;
-  art.codebooks = compress::pq_quantize(residuals, pq_cfg).codebooks;
+  art.codebooks = compress::pq_train_codebooks(residuals, pq_cfg);
   return art;
 }
 
@@ -146,8 +156,12 @@ IvfPqIndex::IvfPqIndex(serve::SnapshotPtr snap, const AnnConfig& config)
 }
 
 void IvfPqIndex::build(const AnnConfig& config) {
+  namespace k = la::kernels;
   config_ = clamp_config(config, n_, dim_);
 
+  // Training and encoding read the same dequantized rows: materialize them
+  // once, and only for the paths that need them.
+  embed::Embedding rows;
   if (!config.artifacts.empty()) {
     ANCHOR_CHECK_EQ(config.artifacts.dim, dim_);
     ANCHOR_CHECK(!config.artifacts.codebooks.empty());
@@ -158,7 +172,8 @@ void IvfPqIndex::build(const AnnConfig& config) {
     // set of codes/codebooks (and the build below skips re-encoding).
     artifacts_ = snapshot_artifacts(*snap_);
   } else {
-    artifacts_ = train_ivfpq(snapshot_rows(*snap_), config_);
+    rows = snapshot_rows(*snap_);
+    artifacts_ = train_ivfpq(rows, config_);
   }
   config_.artifacts = IvfPqArtifacts{};  // knobs only; artifacts_ is canonical
 
@@ -171,6 +186,12 @@ void IvfPqIndex::build(const AnnConfig& config) {
   ksub_ = artifacts_.codebooks[0].size() / sub_dim_;
   ANCHOR_CHECK_GT(ksub_, std::size_t{0});
   ANCHOR_CHECK_LE(ksub_, std::size_t{256});  // codes_ stores bytes
+  codebooks_t_.resize(m_ * sub_dim_ * ksub_);
+  for (std::size_t s = 0; s < m_; ++s) {
+    ANCHOR_CHECK_EQ(artifacts_.codebooks[s].size(), ksub_ * sub_dim_);
+    transpose_into(artifacts_.codebooks[s].data(), ksub_, sub_dim_,
+                   codebooks_t_.data() + s * sub_dim_ * ksub_);
+  }
 
   reused_snapshot_codes_ = artifacts_match_snapshot(artifacts_, *snap_);
   if (reused_snapshot_codes_) {
@@ -191,28 +212,39 @@ void IvfPqIndex::build(const AnnConfig& config) {
     return;
   }
 
-  // Encode every row: cell assignment + residual PQ codes. Encoding is a
-  // pure scalar function of (row bytes, artifacts_), the shard-determinism
-  // contract from the header.
-  const embed::Embedding rows = snapshot_rows(*snap_);
+  // Encode every row: cell assignment + residual PQ codes, in parallel
+  // over row chunks (each writes only its own rows' slots). Encoding is a
+  // pure function of (row bytes, artifacts_) — the kernel gives the same
+  // bits on every ISA — which is the shard-determinism contract from the
+  // header.
+  if (rows.data.empty()) rows = snapshot_rows(*snap_);
+  std::vector<float> coarse_t(dim_ * nlist_);
+  transpose_into(artifacts_.coarse.data(), nlist_, dim_, coarse_t.data());
   std::vector<std::uint32_t> cell_of(n_);
   std::vector<std::uint8_t> row_codes(n_ * m_);  // row-major staging
-  std::vector<float> residual(dim_);
-  std::vector<std::uint32_t> cell_count(nlist_, 0);
-  for (std::size_t w = 0; w < n_; ++w) {
-    const float* src = rows.row(w);
-    const std::size_t cell =
-        nearest_centroid(src, artifacts_.coarse.data(), nlist_, dim_);
-    cell_of[w] = static_cast<std::uint32_t>(cell);
-    ++cell_count[cell];
-    const float* cent = artifacts_.coarse.data() + cell * dim_;
-    for (std::size_t j = 0; j < dim_; ++j) residual[j] = src[j] - cent[j];
-    for (std::size_t s = 0; s < m_; ++s) {
-      row_codes[w * m_ + s] = static_cast<std::uint8_t>(nearest_centroid(
-          residual.data() + s * sub_dim_, artifacts_.codebooks[s].data(),
-          ksub_, sub_dim_));
+  const std::size_t chunks = (n_ + kEncodeChunk - 1) / kEncodeChunk;
+  util::global_pool().parallel_for(0, chunks, [&](std::size_t chunk) {
+    std::vector<float> dist(std::max(nlist_, ksub_));
+    std::vector<float> residual(dim_);
+    const std::size_t end = std::min(n_, (chunk + 1) * kEncodeChunk);
+    for (std::size_t w = chunk * kEncodeChunk; w < end; ++w) {
+      const float* src = rows.row(w);
+      k::l2_sq_to_centroids(src, coarse_t.data(), dim_, nlist_, dist.data());
+      const std::size_t cell = argmin(dist.data(), nlist_);
+      cell_of[w] = static_cast<std::uint32_t>(cell);
+      const float* cent = artifacts_.coarse.data() + cell * dim_;
+      for (std::size_t j = 0; j < dim_; ++j) residual[j] = src[j] - cent[j];
+      for (std::size_t s = 0; s < m_; ++s) {
+        k::l2_sq_to_centroids(residual.data() + s * sub_dim_,
+                              codebooks_t_.data() + s * sub_dim_ * ksub_,
+                              sub_dim_, ksub_, dist.data());
+        row_codes[w * m_ + s] =
+            static_cast<std::uint8_t>(argmin(dist.data(), ksub_));
+      }
     }
-  }
+  });
+  std::vector<std::uint32_t> cell_count(nlist_, 0);
+  for (std::size_t w = 0; w < n_; ++w) ++cell_count[cell_of[w]];
 
   // Inverted lists with ids ascending within each cell (rows are visited in
   // id order below), plus the per-cell column-major code blocks adc_scan
@@ -270,18 +302,9 @@ TopKResult IvfPqIndex::candidates(const float* query, std::size_t rerank,
     const float* cent = artifacts_.coarse.data() + std::size_t{c} * dim_;
     for (std::size_t j = 0; j < dim_; ++j) residual[j] = query[j] - cent[j];
     for (std::size_t s = 0; s < m_; ++s) {
-      const float* r = residual.data() + s * sub_dim_;
-      const float* cb = artifacts_.codebooks[s].data();
-      float* row = lut.data() + s * ksub_;
-      for (std::size_t j = 0; j < ksub_; ++j) {
-        const float* cent_j = cb + j * sub_dim_;
-        float d = 0.0f;
-        for (std::size_t t = 0; t < sub_dim_; ++t) {
-          const float diff = r[t] - cent_j[t];
-          d += diff * diff;
-        }
-        row[j] = d;
-      }
+      k::l2_sq_to_centroids(residual.data() + s * sub_dim_,
+                            codebooks_t_.data() + s * sub_dim_ * ksub_,
+                            sub_dim_, ksub_, lut.data() + s * ksub_);
     }
     adc.resize(count);
     k::adc_scan(codes_.data() + begin * m_, count, m_, ksub_, lut.data(),

@@ -10,7 +10,8 @@
 //     IS a full-dimension vector quantizer — the codebook is the cell
 //     centroid set, the codes are the cell assignments).
 //   • Per-row PQ codes of the RESIDUAL (row − its cell centroid), m
-//     sub-quantizers × 2^pq_bits centroids each, via compress::pq_quantize.
+//     sub-quantizers × 2^pq_bits centroids each, trained with
+//     compress::pq_train_codebooks.
 //   • Search: probe the nprobe cells nearest the query, score every row in
 //     them with the asymmetric-distance (ADC) LUT kernel
 //     la::kernels::adc_scan, keep the `rerank` best as a shortlist, and
@@ -25,6 +26,15 @@
 // distances identical to a single-process index over the concatenated
 // rows, so a router-side merge of per-shard candidate lists reconstructs
 // the single-process result bit for bit (ties broken by ascending id).
+//
+// Training and encoding parallelize over points only: each pool chunk
+// writes its own rows' cell, codes and distances, and everything that
+// combines rows (training's distortion and centroid sums, the cell counts
+// and inverted lists) runs serially in id order. Every nearest-centroid
+// distance — training, encoding and the search LUT — comes from one
+// kernel, la::kernels::l2_sq_to_centroids, whose AVX2 and scalar paths
+// give the same bits. So artifacts, codes and inverted lists are the same
+// bits at any pool size and on any ISA.
 #pragma once
 
 #include <cstdint>
@@ -165,6 +175,9 @@ class IvfPqIndex {
   std::size_t ksub_ = 0;     // 2^pq_bits residual centroids per sub-quantizer
   bool reused_snapshot_codes_ = false;
   IvfPqArtifacts artifacts_;
+  /// artifacts_.codebooks transposed for la::kernels::l2_sq_to_centroids:
+  /// sub-quantizer s's sub_dim_ × ksub_ block starts at s·sub_dim_·ksub_.
+  std::vector<float> codebooks_t_;
   /// Inverted lists: rows grouped by cell, ids ascending within each cell.
   std::vector<std::uint32_t> cell_start_;  // nlist_+1 prefix offsets
   std::vector<std::uint32_t> cell_ids_;    // n_ local row ids

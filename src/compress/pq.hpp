@@ -9,6 +9,14 @@
 // The Wiki'18 member of a pair can reuse its partner's codebooks
 // (`codebooks_override`), mirroring the shared-clip-threshold protocol of
 // Appendix C.2.
+//
+// Determinism: training and encoding run the nearest-centroid search in
+// parallel over points (util::global_pool) through one distance kernel,
+// la::kernels::l2_sq_to_centroids, whose AVX2 and scalar paths give the
+// same bits. Everything that combines points — distortion sums, the
+// farthest-point scan that re-seeds empty clusters, the centroid sums —
+// runs serially in point order. So codebooks, codes and distortion are
+// the same bits at any pool size and on any ISA.
 #pragma once
 
 #include <cstdint>
@@ -45,5 +53,12 @@ struct PqResult {
 /// Learns (or reuses) per-sub-vector codebooks with Lloyd k-means and
 /// reconstructs every row from its nearest codes.
 PqResult pq_quantize(const embed::Embedding& input, const PqConfig& config);
+
+/// The training half of pq_quantize alone: the m codebooks it learns when
+/// config.codebooks_override is empty (the override is not consulted), with
+/// no codes, reconstruction or distortion — for callers that encode
+/// elsewhere, like the IVF-PQ residual stage.
+std::vector<std::vector<float>> pq_train_codebooks(
+    const embed::Embedding& input, const PqConfig& config);
 
 }  // namespace anchor::compress

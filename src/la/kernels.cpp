@@ -124,6 +124,34 @@ float l2_sq_f32(const float* a, const float* b, std::size_t n) {
   return acc;
 }
 
+namespace {
+
+template <typename T>
+void l2_sq_to_centroids_impl(const float* point, const T* centroids_t,
+                             std::size_t d, std::size_t k, T* out) {
+  std::fill_n(out, k, T{0});
+  for (std::size_t j = 0; j < d; ++j) {
+    const T p = point[j];
+    const T* row = centroids_t + j * k;
+    for (std::size_t c = 0; c < k; ++c) {
+      const T diff = p - row[c];
+      out[c] += diff * diff;
+    }
+  }
+}
+
+}  // namespace
+
+void l2_sq_to_centroids(const float* point, const double* centroids_t,
+                        std::size_t d, std::size_t k, double* out) {
+  l2_sq_to_centroids_impl(point, centroids_t, d, k, out);
+}
+
+void l2_sq_to_centroids(const float* point, const float* centroids_t,
+                        std::size_t d, std::size_t k, float* out) {
+  l2_sq_to_centroids_impl(point, centroids_t, d, k, out);
+}
+
 }  // namespace scalar
 
 std::size_t packed_row_bytes(std::size_t dim, int bits) {
@@ -499,6 +527,107 @@ __attribute__((target("avx2,fma"))) float l2_sq_f32(const float* a,
   return total;
 }
 
+// l2_sq_to_centroids: each lane owns one centroid and runs the scalar
+// sequence acc += (p − c)·(p − c) in ascending j — separate sub, mul and
+// add, never an FMA — so every out[c] is bit-exact with scalar. Eight
+// accumulators per block keep enough independent add chains in flight to
+// cover the add latency; a one-register loop and a scalar tail take the
+// rest of k. Vec is the float or double lane set of one ymm register.
+struct VecD {
+  using T = double;
+  using V = __m256d;
+  static constexpr std::size_t kLanes = 4;
+  __attribute__((target("avx2,fma"))) static V zero() {
+    return _mm256_setzero_pd();
+  }
+  __attribute__((target("avx2,fma"))) static V set1(double x) {
+    return _mm256_set1_pd(x);
+  }
+  __attribute__((target("avx2,fma"))) static V load(const double* p) {
+    return _mm256_loadu_pd(p);
+  }
+  __attribute__((target("avx2,fma"))) static void store(double* p, V v) {
+    _mm256_storeu_pd(p, v);
+  }
+  __attribute__((target("avx2,fma"))) static V step(V acc, V p, V c) {
+    const V diff = _mm256_sub_pd(p, c);
+    return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+  }
+};
+
+struct VecF {
+  using T = float;
+  using V = __m256;
+  static constexpr std::size_t kLanes = 8;
+  __attribute__((target("avx2,fma"))) static V zero() {
+    return _mm256_setzero_ps();
+  }
+  __attribute__((target("avx2,fma"))) static V set1(float x) {
+    return _mm256_set1_ps(x);
+  }
+  __attribute__((target("avx2,fma"))) static V load(const float* p) {
+    return _mm256_loadu_ps(p);
+  }
+  __attribute__((target("avx2,fma"))) static void store(float* p, V v) {
+    _mm256_storeu_ps(p, v);
+  }
+  __attribute__((target("avx2,fma"))) static V step(V acc, V p, V c) {
+    const V diff = _mm256_sub_ps(p, c);
+    return _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+  }
+};
+
+template <typename Vec>
+__attribute__((target("avx2,fma"))) inline void l2_sq_to_centroids_avx2(
+    const float* point, const typename Vec::T* centroids_t, std::size_t d,
+    std::size_t k, typename Vec::T* out) {
+  using T = typename Vec::T;
+  using V = typename Vec::V;
+  constexpr std::size_t L = Vec::kLanes;
+  constexpr std::size_t kBlock = 8 * L;
+  std::size_t c = 0;
+  for (; c + kBlock <= k; c += kBlock) {
+    V acc[8];
+    for (V& a : acc) a = Vec::zero();
+    for (std::size_t j = 0; j < d; ++j) {
+      const V p = Vec::set1(static_cast<T>(point[j]));
+      const T* row = centroids_t + j * k + c;
+      for (std::size_t b = 0; b < 8; ++b) {
+        acc[b] = Vec::step(acc[b], p, Vec::load(row + b * L));
+      }
+    }
+    for (std::size_t b = 0; b < 8; ++b) Vec::store(out + c + b * L, acc[b]);
+  }
+  for (; c + L <= k; c += L) {
+    V acc = Vec::zero();
+    for (std::size_t j = 0; j < d; ++j) {
+      acc = Vec::step(acc, Vec::set1(static_cast<T>(point[j])),
+                      Vec::load(centroids_t + j * k + c));
+    }
+    Vec::store(out + c, acc);
+  }
+  for (; c < k; ++c) {
+    T acc = 0;
+    for (std::size_t j = 0; j < d; ++j) {
+      const T diff = static_cast<T>(point[j]) - centroids_t[j * k + c];
+      acc += diff * diff;
+    }
+    out[c] = acc;
+  }
+}
+
+__attribute__((target("avx2,fma"))) void l2_sq_to_centroids(
+    const float* point, const double* centroids_t, std::size_t d,
+    std::size_t k, double* out) {
+  l2_sq_to_centroids_avx2<VecD>(point, centroids_t, d, k, out);
+}
+
+__attribute__((target("avx2,fma"))) void l2_sq_to_centroids(
+    const float* point, const float* centroids_t, std::size_t d,
+    std::size_t k, float* out) {
+  l2_sq_to_centroids_avx2<VecF>(point, centroids_t, d, k, out);
+}
+
 }  // namespace avx2
 
 #endif  // ANCHOR_KERNELS_AVX2
@@ -617,6 +746,26 @@ float l2_sq_f32(const float* a, const float* b, std::size_t n) {
   if (use_simd()) return avx2::l2_sq_f32(a, b, n);
 #endif
   return scalar::l2_sq_f32(a, b, n);
+}
+
+void l2_sq_to_centroids(const float* point, const double* centroids_t,
+                        std::size_t d, std::size_t k, double* out) {
+#if ANCHOR_KERNELS_AVX2
+  if (use_simd()) {
+    return avx2::l2_sq_to_centroids(point, centroids_t, d, k, out);
+  }
+#endif
+  scalar::l2_sq_to_centroids(point, centroids_t, d, k, out);
+}
+
+void l2_sq_to_centroids(const float* point, const float* centroids_t,
+                        std::size_t d, std::size_t k, float* out) {
+#if ANCHOR_KERNELS_AVX2
+  if (use_simd()) {
+    return avx2::l2_sq_to_centroids(point, centroids_t, d, k, out);
+  }
+#endif
+  scalar::l2_sq_to_centroids(point, centroids_t, d, k, out);
 }
 
 }  // namespace anchor::la::kernels

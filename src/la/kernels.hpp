@@ -112,6 +112,22 @@ void pq_decode_rows(const std::uint8_t* codes, std::size_t num_rows,
 /// bound the relative error at 1e-5 on random data).
 float l2_sq_f32(const float* a, const float* b, std::size_t n);
 
+/// Squared L2 distance from one point to each of k centroids — the
+/// nearest-centroid step of PQ / IVF-PQ training, encoding and the ADC
+/// LUT. Centroids are stored TRANSPOSED, d × k row-major:
+/// centroids_t[j·k + c] is coordinate j of centroid c, so one vector load
+/// picks up coordinate j of consecutive centroids. Writes
+///   out[c] = Σ_j (point[j] − centroids_t[j·k + c])²   for c ∈ [0, k),
+/// each lane doing the scalar sequence — subtract, multiply, add, in
+/// ascending j, starting from 0, no FMA, no reassociation — so the AVX2
+/// path is bit-exact with scalar. The double instance widens each point
+/// coordinate (exactly) and works in double; the float instance stays in
+/// float.
+void l2_sq_to_centroids(const float* point, const double* centroids_t,
+                        std::size_t d, std::size_t k, double* out);
+void l2_sq_to_centroids(const float* point, const float* centroids_t,
+                        std::size_t d, std::size_t k, float* out);
+
 /// Portable reference implementations — always compiled, identical
 /// signatures. Tests pin parity against these; benches use them as the
 /// scalar baseline.
@@ -132,6 +148,10 @@ void pq_decode_rows(const std::uint8_t* codes, std::size_t num_rows,
                     std::size_t m, std::size_t sub_dim, std::size_t ksub,
                     const float* codebooks, float* out);
 float l2_sq_f32(const float* a, const float* b, std::size_t n);
+void l2_sq_to_centroids(const float* point, const double* centroids_t,
+                        std::size_t d, std::size_t k, double* out);
+void l2_sq_to_centroids(const float* point, const float* centroids_t,
+                        std::size_t d, std::size_t k, float* out);
 }  // namespace scalar
 
 }  // namespace anchor::la::kernels

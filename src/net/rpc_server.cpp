@@ -1,7 +1,11 @@
 #include "net/rpc_server.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <filesystem>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 namespace anchor::net {
@@ -11,6 +15,27 @@ namespace {
 /// Pause after a failed accept. Retrying at once would spin when the
 /// failure repeats; this retries 100 times a second.
 constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+/// RLIMIT_NOFILE less the descriptors open now and `reserve`, at least 1;
+/// SIZE_MAX when the limit is infinite or unreadable. Open descriptors are
+/// counted in /proc/self/fd (the listing's own descriptor included, which
+/// keeps one more free); without /proc only the reserve is held back.
+std::size_t connection_cap(std::size_t reserve) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0 ||
+      lim.rlim_cur == RLIM_INFINITY) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  std::size_t open = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it("/proc/self/fd", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++open;
+  }
+  const std::size_t held = open + reserve;
+  const std::size_t limit = static_cast<std::size_t>(lim.rlim_cur);
+  return limit > held ? limit - held : 1;
+}
 
 }  // namespace
 
@@ -37,6 +62,7 @@ void RpcServer::handle(MsgType type, Handler handler) {
 }
 
 void RpcServer::start() {
+  max_connections_ = connection_cap(kDescriptorReserve);
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -59,8 +85,9 @@ void RpcServer::stop() {
   listener_.close();
 }
 
-void RpcServer::reap_connections(bool all) {
+std::size_t RpcServer::reap_connections(bool all) {
   std::vector<std::unique_ptr<Connection>> to_join;
+  std::size_t remaining = 0;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (all) {
@@ -76,14 +103,21 @@ void RpcServer::reap_connections(bool all) {
         }
       }
     }
+    remaining = connections_.size();
   }
   for (auto& conn : to_join) conn->thread.join();
+  return remaining;
 }
 
 void RpcServer::accept_loop() {
   bool failing = false;  // logs once per run of failures, not per retry
   while (!stop_.load(std::memory_order_acquire)) {
-    reap_connections(/*all=*/false);
+    if (reap_connections(/*all=*/false) >= max_connections_) {
+      // One more would eat into the descriptor reserve: leave new
+      // connections in the backlog until one of these closes.
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
+    }
     try {
       TcpStream conn = listener_.accept(poll_interval_ms_);
       if (!conn.valid()) continue;  // poll timeout — recheck stop flag

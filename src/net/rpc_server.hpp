@@ -14,11 +14,17 @@
 // core answers it with an Error frame and keeps the connection. A
 // NetError always closes the connection: the stream framing is gone.
 //
-// Under descriptor exhaustion new connections wait in the backlog (see
-// TcpListener::accept). Other accept failures, and a new connection no
-// thread can be started for, drop that connection and back off, with one
-// stderr line per run of failures; the daemon keeps serving the
-// connections it has.
+// Descriptor reserve. start() sizes a connection cap from RLIMIT_NOFILE
+// less the descriptors open at that moment and kDescriptorReserve; while
+// that many connections are open the accept loop accepts none, and new
+// connections wait in the backlog until one closes. The reserve keeps a
+// few descriptors free for what else the process opens (a handler's
+// outbound socket, a metrics scrape, a sanitizer runtime's probe pipe).
+// Should the process run out anyway, new connections wait in the backlog
+// the same way (see TcpListener::accept). Other accept failures, and a new
+// connection no thread can be started for, drop that connection and back
+// off, with one stderr line per run of failures; the daemon keeps serving
+// the connections it has.
 #pragma once
 
 #include <array>
@@ -50,6 +56,9 @@ struct RpcCall {
 
 class RpcServer {
  public:
+  /// Descriptors the accept loop leaves free (see the header comment).
+  static constexpr std::size_t kDescriptorReserve = 16;
+
   /// Serves one request and returns false to close the connection.
   using Handler = std::function<bool(RpcCall& call)>;
 
@@ -77,8 +86,14 @@ class RpcServer {
     });
   }
 
-  /// Serves on a background thread; returns immediately.
+  /// Sizes the connection cap, then serves on a background thread;
+  /// returns immediately.
   void start();
+
+  /// Connections served at once: RLIMIT_NOFILE less the descriptors open
+  /// when start() ran and kDescriptorReserve (at least 1; SIZE_MAX with no
+  /// finite limit). 0 before start().
+  std::size_t max_connections() const { return max_connections_; }
   /// Stops accepting, joins every connection thread, and closes the
   /// listener. Idempotent; safe from any thread but a handler's own.
   void stop();
@@ -103,8 +118,8 @@ class RpcServer {
   void serve_connection(TcpStream stream);
   /// Joins finished connection threads (every accept iteration, so a
   /// long-running daemon keeps no dead thread per connection ever
-  /// served); `all` joins the rest too.
-  void reap_connections(bool all);
+  /// served); `all` joins the rest too. Returns how many remain.
+  std::size_t reap_connections(bool all);
 
   const int poll_interval_ms_;
   const int io_timeout_ms_;
@@ -115,6 +130,7 @@ class RpcServer {
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> shutdown_requested_{false};
+  std::size_t max_connections_ = 0;  // set by start() before the thread
   std::thread accept_thread_;
   std::mutex conn_mu_;
   std::vector<std::unique_ptr<Connection>> connections_;

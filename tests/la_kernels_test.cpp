@@ -302,6 +302,54 @@ TEST(Kernels, L2SqF32MatchesScalar) {
   }
 }
 
+TEST(Kernels, L2SqToCentroidsIsBitExactWithScalarAndThePlainLoop) {
+  // PQ training and IVF-PQ encoding promise the same codebooks and codes
+  // on every ISA, so both instances must match the scalar reference and a
+  // plain per-centroid loop (the per-pair sequence the kernel replaces)
+  // bit for bit. k straddles the 4/8-lane registers and the 32/64-lane
+  // blocks; d covers a single coordinate up to a full coarse row.
+  Rng rng(61);
+  for (const std::size_t d : {1u, 3u, 8u, 17u, 64u}) {
+    for (const std::size_t kc : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 31u, 32u, 33u,
+                                 63u, 64u, 65u, 100u, 256u}) {
+      std::vector<float> point(d), cents(kc * d);
+      for (auto& x : point) x = static_cast<float>(rng.normal(0.0, 1.0));
+      for (auto& x : cents) x = static_cast<float>(rng.normal(0.0, 1.0));
+      std::vector<double> t64(d * kc);
+      std::vector<float> t32(d * kc);
+      for (std::size_t c = 0; c < kc; ++c) {
+        for (std::size_t j = 0; j < d; ++j) {
+          t64[j * kc + c] = cents[c * d + j];
+          t32[j * kc + c] = cents[c * d + j];
+        }
+      }
+      std::vector<double> simd64(kc, -1.0), ref64(kc, -2.0);
+      std::vector<float> simd32(kc, -1.0f), ref32(kc, -2.0f);
+      k::l2_sq_to_centroids(point.data(), t64.data(), d, kc, simd64.data());
+      k::scalar::l2_sq_to_centroids(point.data(), t64.data(), d, kc,
+                                    ref64.data());
+      k::l2_sq_to_centroids(point.data(), t32.data(), d, kc, simd32.data());
+      k::scalar::l2_sq_to_centroids(point.data(), t32.data(), d, kc,
+                                    ref32.data());
+      for (std::size_t c = 0; c < kc; ++c) {
+        double plain64 = 0.0;
+        float plain32 = 0.0f;
+        for (std::size_t j = 0; j < d; ++j) {
+          const double diff64 =
+              static_cast<double>(cents[c * d + j]) - point[j];
+          plain64 += diff64 * diff64;
+          const float diff32 = point[j] - cents[c * d + j];
+          plain32 += diff32 * diff32;
+        }
+        EXPECT_EQ(simd64[c], ref64[c]) << "d=" << d << " k=" << kc;
+        EXPECT_EQ(ref64[c], plain64) << "d=" << d << " k=" << kc;
+        EXPECT_EQ(simd32[c], ref32[c]) << "d=" << d << " k=" << kc;
+        EXPECT_EQ(ref32[c], plain32) << "d=" << d << " k=" << kc;
+      }
+    }
+  }
+}
+
 TEST(Kernels, PrenormalizedKnnEqualsPlainKnn) {
   const la::Matrix x = random_matrix(60, 12, 15);
   const la::Matrix xt = random_matrix(60, 12, 16);

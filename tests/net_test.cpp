@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -23,6 +24,7 @@
 
 #include "net/client.hpp"
 #include "net/fault.hpp"
+#include "net/rpc_server.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -1831,6 +1833,95 @@ TEST_F(RpcTest, AcceptLoopSurvivesDescriptorExhaustion) {
   Client client("127.0.0.1", server_->port());
   client.ping();
   EXPECT_EQ(client.lookup_id(3).size(), 1u);
+}
+
+TEST(RpcServerCap, HoldsConnectionsBelowTheDescriptorCap) {
+  // A flood larger than the descriptor budget: the server serves at most
+  // max_connections() of it at once, keeping kDescriptorReserve
+  // descriptors free, and the rest waits in the backlog until served
+  // connections close. The flood's sockets are made while descriptors are
+  // plentiful, so connecting them needs none here.
+  constexpr std::size_t kFlood = 40;
+  std::vector<int> fds;
+  std::vector<TcpStream> flood;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    fds.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_GE(fds.back(), 0);
+    flood.emplace_back(fds.back());
+  }
+  std::size_t open = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++open;
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  // Room for the listener and about 8 connections beyond the reserve.
+  low.rlim_cur =
+      static_cast<rlim_t>(open + 1 + RpcServer::kDescriptorReserve + 8);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  RpcServer server(0, /*poll_interval_ms=*/20, /*io_timeout_ms=*/2000,
+                   obs::TraceStage::kBackendRecv);
+  server.start();
+  const std::size_t cap = server.max_connections();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::size_t connected = 0;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    connected += ::connect(fds[i], reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+    write_message(flood[i], MsgType::kPing, Empty{});
+  }
+  // Only an accepted connection answers its PING.
+  std::vector<bool> answered(kFlood, false);
+  const auto count_answered = [&] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < kFlood; ++i) {
+      if (!answered[i] && flood[i].wait_readable(0)) answered[i] = true;
+      n += answered[i];
+    }
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (count_answered() < std::min(cap, kFlood) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::size_t first_wave = count_answered();
+
+  // Closing the answered connections lets the backlog through, a cap's
+  // worth at a time.
+  std::size_t pongs = 0;
+  std::vector<bool> closed(kFlood, false);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::size_t done = count_answered();
+    for (std::size_t i = 0; i < kFlood; ++i) {
+      if (!answered[i] || closed[i]) continue;
+      MsgType type{};
+      std::vector<std::uint8_t> payload;
+      pongs += read_frame(flood[i], &type, &payload) &&
+               type == MsgType::kPong;
+      flood[i].close();
+      closed[i] = true;
+    }
+    if (done == kFlood) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  server.stop();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_EQ(connected, kFlood);
+  EXPECT_GE(cap, 4u);
+  EXPECT_LT(cap, kFlood);
+  EXPECT_EQ(first_wave, cap);  // the backlog never got past the cap
+  EXPECT_EQ(pongs, kFlood);    // and was served as connections closed
 }
 
 TEST_F(RpcTest, FuzzedFramesNeverKillTheServer) {

@@ -94,6 +94,7 @@ class RpcServer {
   /// when start() ran and kDescriptorReserve (at least 1; SIZE_MAX with no
   /// finite limit). 0 before start().
   std::size_t max_connections() const { return max_connections_; }
+
   /// Stops accepting, joins every connection thread, and closes the
   /// listener. Idempotent; safe from any thread but a handler's own.
   void stop();

@@ -13,9 +13,9 @@
 // Define ANCHOR_DISABLE_SIMD (CMake: -DANCHOR_DISABLE_SIMD=ON) to compile
 // the scalar paths only; set_simd_enabled(false) switches at runtime.
 //
-// Numerical contract: axpy and dequantize_rows perform the same operations
-// in the same per-element order as their scalar versions and are bit-exact
-// with them. The reduction kernels (dot, l2_normalize, matvec_rowmajor,
+// Numerical contract: axpy, dequantize_rows, adc_scan and
+// l2_sq_to_centroids perform the same operations in the same per-element
+// order as their scalar versions and are bit-exact with them. The reduction kernels (dot, l2_normalize, matvec_rowmajor,
 // gemm_nt) reassociate the accumulation across SIMD lanes, so they agree
 // with scalar only to rounding (the parity tests bound this at 1e-6 on
 // random data; in practice ~1e-13). Dispatch is per-process, not per-call:

@@ -44,6 +44,7 @@
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs/windowed.hpp"
 
 namespace anchor::cluster {
 
@@ -119,6 +120,9 @@ class Router {
   /// snapshots of this (disjoint from the backends' registries — scrape
   /// each process separately, or merge histograms downstream).
   obs::MetricsRegistry& metrics_registry() { return metrics_; }
+  /// The router's own windowed view: one record per LOOKUP_IDS /
+  /// LOOKUP_WORDS it served (degraded lookups count as errors).
+  const obs::WindowedStats& windowed() const { return windowed_; }
 
  private:
   void probe_loop();

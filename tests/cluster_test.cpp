@@ -494,6 +494,44 @@ TEST(Router, TopKDegradedShardYieldsPartialMergedResult) {
   router.stop();
 }
 
+TEST(Router, WindowCountsLookupsNotTopKResolution) {
+  // A TOPK by id or word resolves its query row through a cluster lookup
+  // inside the router. That lookup is part of the TOPK, not a LOOKUP the
+  // client sent, so the router's window, its lookup counter and its
+  // lookup latency histogram must all count the k lookups alone.
+  const embed::Embedding base = random_embedding(41, kVocab, kDim);
+  TopKCluster fx(base, {0, 450, kVocab});
+  RouterConfig rc;
+  rc.map = fx.map;
+  rc.probe_interval_ms = 0;
+  Router router(rc);
+  router.start();
+  net::Client client("127.0.0.1", router.port());
+
+  constexpr std::uint64_t kLookups = 3;
+  client.lookup_ids({1, 2, 500});
+  client.lookup_ids({7});
+  client.lookup_words({"w3", "w600"});
+  client.topk_id(700, 10);
+  client.topk_id(12, 10);
+  client.topk_word("w450", 10);
+
+  EXPECT_EQ(router.windowed().snapshot().requests_in(60'000'000), kLookups);
+  const obs::MetricsReport report = client.metrics();
+  std::uint64_t lookups = 0, latency_count = 0, topk = 0;
+  for (const obs::MetricValue& m : report.metrics) {
+    if (m.name == "anchor_router_lookups_total") lookups = m.counter;
+    if (m.name == "anchor_router_lookup_latency_us") {
+      latency_count = m.hist.count;
+    }
+    if (m.name == "anchor_router_topk_total") topk = m.counter;
+  }
+  EXPECT_EQ(lookups, kLookups);
+  EXPECT_EQ(latency_count, kLookups);
+  EXPECT_EQ(topk, 3u);
+  router.stop();
+}
+
 // ---- failure modes -----------------------------------------------------
 
 TEST(ClusterClient, BackendKillYieldsDegradedPartialResultThenRecovery) {

@@ -5,12 +5,13 @@
 // nothing.
 //
 // Reported numbers are aggregate QPS (vectors/sec) and per-batch p50/p99
-// latency from ServeStats; every cell is also appended to a machine-
-// readable BENCH_serve.json (override with --json <path>) so the serving
-// perf trajectory is recorded across PRs. Latency quantiles come from
-// ServeStats' obs::LogHistogram (nearest-rank bucket lower bound, ≤1/32
-// relative error) — the same estimator the daemon and router report, so
-// bench cells are directly comparable to production scrapes. The JSON
+// latency from the serve layer's obs::WindowedStats recorders; every cell
+// is also appended to a machine-readable BENCH_serve.json (override with
+// --json <path>) so the serving perf trajectory is recorded across PRs.
+// Latency quantiles come from the recorder total's obs::LogHistogram
+// (nearest-rank bucket lower bound, ≤1/32 relative error) — the same
+// estimator the daemon and router report, so bench cells are directly
+// comparable to production scrapes. The JSON
 // stamps this as workload.latency_estimator; cells from before that
 // field existed used a raw nearest-rank sample ring and are not
 // bit-comparable at the tail.
@@ -106,7 +107,7 @@ serve::StatsSnapshot run_cell(serve::LookupService& service, int threads,
       std::chrono::duration<double>(g_seconds_per_cell));
   stop.store(true);
   for (auto& w : workers) w.join();
-  return service.stats().snapshot();
+  return serve::stats_snapshot(service.stats());
 }
 
 /// Coalesced single-key traffic: every request carries ONE key; each
@@ -145,7 +146,7 @@ serve::StatsSnapshot run_async_cell(const serve::LookupService& service,
       std::chrono::duration<double>(g_seconds_per_cell));
   stop.store(true);
   for (auto& c : clients) c.join();
-  const serve::StatsSnapshot s = async.stats().snapshot();
+  const serve::StatsSnapshot s = serve::stats_snapshot(async.stats());
   *mean_batch = s.batches > 0
                     ? static_cast<double>(s.lookups) /
                           static_cast<double>(s.batches)
@@ -321,7 +322,7 @@ int main(int argc, char** argv) {
   const serve::DeploymentGate permissive(canary_gate);
 
   const auto run_blocking_cell = [&](auto&& fn, int threads) {
-    serve::ServeStats cell_stats;
+    obs::WindowedStats cell_stats;
     std::atomic<bool> cell_stop{false};
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
@@ -331,12 +332,9 @@ int main(int argc, char** argv) {
         serve::LookupResult result;
         while (!cell_stop.load(std::memory_order_relaxed)) {
           for (auto& id : ids) id = skewed_id(rng);
-          const auto t0 = std::chrono::steady_clock::now();
+          const auto t0 = std::chrono::system_clock::now();
           fn(ids, &result);
-          cell_stats.record_batch(
-              kBatch, std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
+          cell_stats.record_since(t0, kBatch, 0);
         }
       });
     }
@@ -344,7 +342,7 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(g_seconds_per_cell));
     cell_stop.store(true);
     for (auto& w : workers) w.join();
-    return cell_stats.snapshot();
+    return serve::stats_snapshot(cell_stats);
   };
 
   const int canary_threads = smoke ? 1 : 2;
@@ -438,7 +436,7 @@ int main(int argc, char** argv) {
     // make_client(t) builds the per-thread lookup fn (blocking clients
     // are single-stream, so each worker owns its own).
     const auto run_rpc_cell = [&](auto&& make_client) {
-      serve::ServeStats cell_stats;
+      obs::WindowedStats cell_stats;
       std::atomic<bool> cell_stop{false};
       std::vector<std::thread> workers;
       for (int t = 0; t < cluster_threads; ++t) {
@@ -448,12 +446,9 @@ int main(int argc, char** argv) {
           std::vector<std::size_t> ids(kBatch);
           while (!cell_stop.load(std::memory_order_relaxed)) {
             for (auto& id : ids) id = skewed_id(rng);
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = std::chrono::system_clock::now();
             lookup(ids);
-            cell_stats.record_batch(
-                kBatch, std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
+            cell_stats.record_since(t0, kBatch, 0);
           }
         });
       }
@@ -461,7 +456,7 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(g_seconds_per_cell));
       cell_stop.store(true);
       for (auto& w : workers) w.join();
-      return cell_stats.snapshot();
+      return serve::stats_snapshot(cell_stats);
     };
     cluster_cells[0] = run_rpc_cell([&](int) {
       auto client = std::make_shared<net::Client>("127.0.0.1", direct.port());
@@ -518,7 +513,7 @@ int main(int argc, char** argv) {
   }
   stop.store(true);
   for (auto& w : workers) w.join();
-  const auto swap_stats = service.stats().snapshot();
+  const auto swap_stats = serve::stats_snapshot(service.stats());
   std::cout << "  " << swap_stats.summary() << "\n";
 
   bench::JsonWriter json;

@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
   std::cout << "\nServing from: " << after.version
             << " (hot-swapped without interrupting lookups)\n"
             << "Audit log appended to " << gate_config.audit_log.string()
-            << "\nStats: " << service.stats().snapshot().summary() << "\n";
+            << "\nStats: " << serve::stats_snapshot(service.stats()).summary()
+            << "\n";
 
   const bool ok = store.live_version() == "v2018";
   std::cout << "\n[shape] " << (ok ? "PASS" : "FAIL")

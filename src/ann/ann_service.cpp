@@ -36,13 +36,6 @@ IvfPqIndexPtr AnnService::index_for(const serve::SnapshotPtr& snap) {
   return index;
 }
 
-TopKResult AnnService::topk(const float* query, std::size_t k,
-                            std::size_t nprobe, std::size_t rerank) {
-  IvfPqIndexPtr index = index_for_live();
-  ANCHOR_CHECK_MSG(index != nullptr, "topk with no live snapshot");
-  return index->search(query, k, nprobe, rerank);
-}
-
 double AnnService::topk_churn(const serve::SnapshotPtr& a,
                               const serve::SnapshotPtr& b,
                               std::size_t queries, std::size_t k) {

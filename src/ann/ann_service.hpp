@@ -32,10 +32,6 @@ class AnnService {
   /// Index for an explicit snapshot (builds on miss, epoch-keyed).
   IvfPqIndexPtr index_for(const serve::SnapshotPtr& snap);
 
-  /// Search against the live index. 0-valued knobs use config defaults.
-  TopKResult topk(const float* query, std::size_t k, std::size_t nprobe = 0,
-                  std::size_t rerank = 0);
-
   /// Mean top-k churn between the two snapshots' indexes: for `queries`
   /// deterministic probe queries (rows of `a`, evenly strided), the mean of
   /// 1 − |topk_a ∩ topk_b| / k. 0 = identical served results, 1 = total

@@ -47,14 +47,6 @@ bool ClusterHealth::shard_alive(std::size_t shard) const {
   return false;
 }
 
-std::size_t ClusterHealth::alive_replicas(std::size_t shard) const {
-  std::size_t n = 0;
-  for (std::size_t r = 0; r < replicas(shard); ++r) {
-    if (healthy(shard, r)) ++n;
-  }
-  return n;
-}
-
 std::size_t ClusterHealth::alive() const {
   std::size_t n = 0;
   for (std::size_t b = 0; b < num_shards(); ++b) {
@@ -550,8 +542,6 @@ bool ClusterClient::gather_shard(std::size_t shard, const Plan& plan,
 serve::LookupResult ClusterClient::execute(const std::vector<Plan>& plans,
                                            std::size_t n_slots,
                                            std::vector<std::uint8_t> flags) {
-  const std::uint64_t windowed_t0 =
-      config_.windowed != nullptr ? obs::Tracer::now_ns() : 0;
   const std::size_t n_shards = config_.map.num_shards();
   std::fill(last_shard_ok_.begin(), last_shard_ok_.end(), 1);
 
@@ -761,13 +751,6 @@ serve::LookupResult ClusterClient::execute(const std::vector<Plan>& plans,
   // Hedge losers whose replies have arrived by now get their connections
   // squared away for free; stragglers stay owed and settle on next use.
   drain_owed_nonblocking();
-  if (config_.windowed != nullptr) {
-    // One windowed record per cluster lookup: full scatter-gather wall
-    // latency; degraded partial results burn error budget.
-    config_.windowed->record(
-        static_cast<double>(obs::Tracer::now_ns() - windowed_t0) / 1000.0,
-        degraded);
-  }
   return out;
 }
 

@@ -57,7 +57,6 @@
 #include "obs/heavy_hitters.hpp"
 #include "obs/log_histogram.hpp"
 #include "obs/trace.hpp"
-#include "obs/windowed.hpp"
 #include "serve/lookup_service.hpp"
 
 namespace anchor::cluster {
@@ -84,11 +83,6 @@ struct ClusterConfig {
   /// Hedge the straggler replica (needs a HedgePolicy and ≥ 2 replicas on
   /// the shard to take effect).
   bool hedge = true;
-  /// When set, every cluster lookup is recorded as one windowed request
-  /// (latency = full scatter-gather, error = degraded result) — the
-  /// router's own rolling-rate view, independent of the backends'.
-  /// Thread-safe; shared across a pool's clients. Not owned.
-  obs::WindowedStats* windowed = nullptr;
   /// When set, resolved GLOBAL rows are attributed per lookup — the
   /// router-side key-load view in global id space (the backends' own
   /// sketches are local-space and reachable via heat()). Not owned.
@@ -119,7 +113,6 @@ class ClusterHealth {
   /// Shards with at least one live replica (the availability gauge).
   std::size_t alive() const;
   bool shard_alive(std::size_t shard) const;
-  std::size_t alive_replicas(std::size_t shard) const;
   std::size_t replicas_total() const { return flags_.size(); }
   std::size_t replicas_alive() const;
 

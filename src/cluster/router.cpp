@@ -48,9 +48,8 @@ Router::Router(RouterConfig config)
   cc_config.io_timeout_ms = config_.backend_io_timeout_ms;
   cc_config.max_attempts = config_.max_attempts;
   cc_config.hedge = config_.hedge;
-  // The pooled clients all record into the router's shared windowed ring
-  // and global-id key-load recorders (both thread-safe).
-  cc_config.windowed = &windowed_;
+  // The pooled clients all record into the router's global-id key-load
+  // recorders (thread-safe).
   cc_config.load = load_.get();
   // hedge_ is shared even when hedging is off (ClusterConfig::hedge
   // gates the behavior): the per-shard RTT histograms are still the
@@ -64,19 +63,11 @@ Router::Router(RouterConfig config)
 }
 
 void Router::register_metrics() {
-  lookups_total_ = &metrics_.counter(
-      "anchor_router_lookups_total",
-      "Scatter-gather lookups executed (ids + words)");
-  degraded_total_ = &metrics_.counter(
-      "anchor_router_degraded_lookups_total",
-      "Lookups that returned at least one degraded (zeroed+flagged) row");
-  lookup_latency_ = &metrics_.histogram(
+  metrics_.register_histogram(
       "anchor_router_lookup_latency_us",
       "End-to-end scatter-gather lookup latency as the router sees it "
-      "(microseconds)");
-  topk_total_ = &metrics_.counter(
-      "anchor_router_topk_total",
-      "Cluster TOPK searches scatter-gathered and merged by the router");
+      "(microseconds)",
+      [this] { return windowed_.totals().latency; });
   topk_partial_ = &metrics_.counter(
       "anchor_router_topk_partial_total",
       "TOPK searches merged from fewer than all shards (partial flag set)");
@@ -85,6 +76,20 @@ void Router::register_metrics() {
       "End-to-end scatter-gather TOPK latency as the router sees it "
       "(microseconds)");
   metrics_.on_collect([this](obs::MetricsRegistry& r) {
+    // Lookup counters are views over the recorder's all-time total; the
+    // TOPK count is the TOPK latency histogram's.
+    const obs::WindowedTotals lookups = windowed_.totals();
+    r.counter("anchor_router_lookups_total",
+              "Scatter-gather lookups executed (ids + words)")
+        .set(lookups.requests);
+    r.counter("anchor_router_degraded_lookups_total",
+              "Lookups that returned at least one degraded (zeroed+flagged) "
+              "row")
+        .set(lookups.errors);
+    r.counter("anchor_router_topk_total",
+              "Cluster TOPK searches scatter-gathered and merged by the "
+              "router")
+        .set(topk_latency_->count());
     r.gauge("anchor_router_shards_alive",
             "Shards with at least one live replica")
         .set(static_cast<double>(health_->alive()));
@@ -198,24 +203,22 @@ void Router::probe_loop() {
 void Router::register_handlers() {
   using net::MsgType;
   using net::RpcCall;
-  // Runs one scatter-gather lookup `body(cc)` on a pooled client (timed
-  // into the latency histogram, lookup/degraded counters maintained) and
-  // releases the slot before the reply is written back — a slow client
-  // draining its reply must not hold a pool slot. A sampled `trace` joins
-  // the scatter / per-shard RTT / merge spans and the backends' frames to
-  // the request's trace.
+  // Runs one scatter-gather lookup `body(cc)` on a pooled client,
+  // records it once into the router's recorder (a degraded result counts
+  // as an error) and releases the slot before the reply is written back —
+  // a slow client draining its reply must not hold a pool slot. A sampled
+  // `trace` joins the scatter / per-shard RTT / merge spans and the
+  // backends' frames to the request's trace.
   const auto timed_lookup = [this](const obs::TraceContext& trace,
                                    const auto& body) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::system_clock::now();
+    bool degraded = false;
     pool_->with_client([&](ClusterClient& cc) {
       if (trace.sampled()) cc.set_trace(trace);
       body(cc);
-      if (cc.last_degraded()) degraded_total_->inc();
+      degraded = cc.last_degraded();
     });
-    lookups_total_->inc();
-    lookup_latency_->record(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - start)
-                                .count());
+    windowed_.record_since(start, 1, degraded ? 1 : 0);
   };
   rpc_.handle(MsgType::kLookupIds, [timed_lookup](RpcCall& call) {
     const auto req = net::decode<net::LookupIdsRequest>(&call.reader);
@@ -256,7 +259,6 @@ void Router::register_handlers() {
           break;
       }
     });
-    topk_total_->inc();
     if (merged.flags & ann::kTopKFlagPartial) topk_partial_->inc();
     topk_latency_->record(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - start)

@@ -79,7 +79,7 @@ struct RouterConfig {
   /// Per-shard rollout outcomes append here (append_audit_csv format).
   std::filesystem::path audit_log;
   /// Windowed-telemetry ring shape for the router's own rolling view
-  /// (recorded per cluster lookup by the pooled clients).
+  /// (one record per LOOKUP_IDS / LOOKUP_WORDS the router serves).
   obs::WindowedConfig windowed;
   /// SLO burn-rate policy over the router window (`--slo-p99-us`,
   /// `--slo-error-budget` on the daemon).
@@ -155,21 +155,21 @@ class Router {
   std::shared_ptr<ClusterHealth> health_;
   std::shared_ptr<HedgePolicy> hedge_;
   std::shared_ptr<ClusterCounters> counters_;
-  /// Router-side windowed/key-load telemetry, fed by the pooled clients
-  /// (declared before pool_, whose ClusterConfig carries pointers in).
+  /// The router's lookup recorder: its total backs the
+  /// anchor_router_{lookups_total,degraded_lookups_total,
+  /// lookup_latency_us} series and its ring the router window.
   obs::WindowedStats windowed_;
+  /// Global-id key-load attribution, fed by the pooled clients (declared
+  /// before pool_, whose ClusterConfig carries a pointer in).
   std::unique_ptr<obs::KeyLoadRecorder> load_;
   obs::SloMonitor slo_;
   std::unique_ptr<ClusterClientPool> pool_;
   /// Declared before rpc_, which counts request frames into it.
   obs::MetricsRegistry metrics_;
   net::RpcServer rpc_;
-  /// Owned hot-path metrics (registry references are stable for its
-  /// lifetime; handlers update them lock-free).
-  obs::Counter* lookups_total_ = nullptr;
-  obs::Counter* degraded_total_ = nullptr;
-  obs::LogHistogram* lookup_latency_ = nullptr;
-  obs::Counter* topk_total_ = nullptr;
+  /// Owned TOPK metrics (registry references are stable for its
+  /// lifetime; handlers update them lock-free). The latency histogram's
+  /// count is the TOPK request count.
   obs::Counter* topk_partial_ = nullptr;
   obs::LogHistogram* topk_latency_ = nullptr;
 

@@ -63,10 +63,6 @@ serve::LookupResult Client::lookup_id(std::size_t id) {
   return lookup_ids({id});
 }
 
-serve::LookupResult Client::lookup_word(const std::string& word) {
-  return lookup_words({word});
-}
-
 ann::TopKResult Client::topk(const TopKRequest& req) {
   return call<ann::TopKResult>(MsgType::kTopK, req);
 }

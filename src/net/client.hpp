@@ -44,7 +44,6 @@ class Client {
   serve::LookupResult lookup_words(const std::vector<std::string>& words);
   /// Single-key convenience (still one RPC; the server coalesces).
   serve::LookupResult lookup_id(std::size_t id);
-  serve::LookupResult lookup_word(const std::string& word);
 
   /// Approximate nearest-neighbor search against the server's live
   /// IVF-PQ index (the TOPK RPC). The by-id / by-word forms resolve the

@@ -14,10 +14,12 @@ namespace anchor::net {
 Server::Server(serve::EmbeddingStore& store, ServerConfig config)
     : store_(store),
       config_(config),
-      service_stats_(std::make_shared<serve::ServeStats>()),
-      batcher_stats_(std::make_shared<serve::ServeStats>()),
+      // No window export reads the service view, so it keeps the
+      // smallest ring.
+      service_stats_(std::make_shared<obs::WindowedStats>(
+          obs::WindowedConfig{config.windowed.slice_us, 2})),
+      batcher_stats_(std::make_shared<obs::WindowedStats>(config.windowed)),
       windowed_(config.windowed),
-      batch_windowed_(config.windowed),
       load_(obs::make_key_load_recorder(
           config.hot_key_capacity,
           [&]() -> std::uint64_t {
@@ -35,13 +37,7 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
                  return lc;
                }(),
                service_stats_),
-      async_(service_,
-             [&] {
-               serve::BatcherConfig bc = config.batcher;
-               bc.windowed = &batch_windowed_;
-               return bc;
-             }(),
-             batcher_stats_),
+      async_(service_, config.batcher, batcher_stats_),
       gate_(config.gate),
       rpc_(config.port, config.poll_interval_ms, config.io_timeout_ms,
            obs::TraceStage::kBackendRecv),
@@ -61,9 +57,9 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
 }
 
 HeatReport Server::heat_report() {
-  // The RPC-level window only: batch_windowed_ counts coalesced *keys*,
-  // a different unit, and is exported via Prometheus instead of merged
-  // into the fleet's request-rate view.
+  // The RPC-level window only: the batcher's window counts coalesced
+  // *keys*, a different unit, and is exported via Prometheus instead of
+  // merged into the fleet's request-rate view.
   HeatReport report;
   report.windowed = windowed_.snapshot();
   if (load_ != nullptr) {
@@ -74,32 +70,28 @@ HeatReport Server::heat_report() {
 }
 
 void Server::register_metrics() {
-  // Counter/gauge values are bridged at snapshot time from the serve
-  // layer's own atomics (no double counting, no hot-path changes); the
-  // latency histograms are live LogHistogram snapshots, so the exported
-  // _bucket series merge exactly across processes.
+  // The serve-layer series are views over the two recorders' all-time
+  // totals, read at snapshot time (no double counting, no hot-path
+  // changes); the latency histograms are live LogHistogram snapshots, so
+  // the exported _bucket series merge exactly across processes.
   metrics_.register_histogram(
       "anchor_service_latency_us",
       "Per executed lookup batch latency (LookupService view)",
-      [this] { return service_stats_->latency_histogram(); });
+      [this] { return service_stats_->totals().latency; });
   metrics_.register_histogram(
       "anchor_batcher_latency_us",
       "Per coalesced batch latency, oldest enqueue to scatter "
       "(client-observed view)",
-      [this] { return batcher_stats_->latency_histogram(); });
+      [this] { return batcher_stats_->totals().latency; });
   if (ann_) {
-    metrics_.register_histogram(
+    topk_latency_us_ = &metrics_.histogram(
         "anchor_topk_latency_us",
-        "IVF-PQ search latency per TOPK request (probe+ADC+re-rank)",
-        [this] { return topk_latency_us_.snapshot(); });
-    metrics_.register_histogram(
-        "anchor_topk_cells_probed",
-        "Coarse cells probed per TOPK request",
-        [this] { return topk_cells_probed_.snapshot(); });
-    metrics_.register_histogram(
+        "IVF-PQ search latency per TOPK request (probe+ADC+re-rank)");
+    topk_cells_probed_ = &metrics_.histogram(
+        "anchor_topk_cells_probed", "Coarse cells probed per TOPK request");
+    topk_shortlist_ = &metrics_.histogram(
         "anchor_topk_shortlist_size",
-        "ADC shortlist size re-ranked exactly per TOPK request",
-        [this] { return topk_shortlist_.snapshot(); });
+        "ADC shortlist size re-ranked exactly per TOPK request");
   }
   // Remembers the previously exported version label so a hot swap zeroes
   // the stale series instead of leaving two versions claiming live.
@@ -107,25 +99,25 @@ void Server::register_metrics() {
   auto last_encoding = std::make_shared<std::string>();
   metrics_.on_collect([this, last_version,
                        last_encoding](obs::MetricsRegistry& reg) {
-    const serve::StatsSnapshot service = service_stats_->snapshot();
-    const serve::StatsSnapshot batcher = batcher_stats_->snapshot();
+    const obs::WindowedTotals service = service_stats_->totals();
+    const obs::WindowedTotals batcher = batcher_stats_->totals();
     reg.counter("anchor_lookup_requests_total",
                 "Vectors served (client-observed, batcher view)")
-        .set(batcher.lookups);
+        .set(batcher.requests);
     reg.counter("anchor_batches_total", "Coalesced batches executed")
-        .set(batcher.batches);
+        .set(batcher.records);
     reg.counter("anchor_service_lookups_total",
                 "Vectors served by the underlying LookupService "
                 "(canary traffic included)")
-        .set(service.lookups);
+        .set(service.requests);
     reg.counter("anchor_oov_fallbacks_total",
                 "Lookups answered via subword synthesis")
-        .set(service.oov_fallbacks);
+        .set(service.errors);
     reg.gauge("anchor_batch_occupancy",
               "Mean keys per coalesced batch since start/reset")
-        .set(batcher.batches > 0
-                 ? static_cast<double>(batcher.lookups) /
-                       static_cast<double>(batcher.batches)
+        .set(batcher.records > 0
+                 ? static_cast<double>(batcher.requests) /
+                       static_cast<double>(batcher.records)
                  : 0.0);
     reg.gauge("anchor_batcher_pending", "Requests queued, not yet flushed")
         .set(static_cast<double>(async_.pending()));
@@ -135,7 +127,7 @@ void Server::register_metrics() {
     if (ann_) {
       reg.counter("anchor_topk_requests_total",
                   "TOPK searches served against the live IVF-PQ index")
-          .set(topk_requests_.load(std::memory_order_relaxed));
+          .set(topk_latency_us_->count());
       reg.counter("anchor_topk_index_builds_total",
                   "IVF-PQ index builds (one per snapshot version served)")
           .set(ann_->builds());
@@ -202,7 +194,7 @@ void Server::register_metrics() {
   metrics_.on_collect([this](obs::MetricsRegistry& reg) {
     reg.gauge("anchor_batcher_window_keys_per_s_1m",
               "Coalesced lookup keys/s over the last 60 s")
-        .set(batch_windowed_.snapshot().qps(60'000'000ull));
+        .set(batcher_stats_->snapshot().qps(60'000'000ull));
   });
 }
 
@@ -380,10 +372,9 @@ void Server::register_handlers() {
       obs::Tracer::instance().record(call.trace,
                                      obs::TraceStage::kTopkSearch, t0, t1);
     }
-    topk_requests_.fetch_add(1, std::memory_order_relaxed);
-    topk_latency_us_.record(static_cast<double>(t1 - t0) / 1000.0);
-    topk_cells_probed_.record(static_cast<double>(result.cells_probed));
-    topk_shortlist_.record(static_cast<double>(result.shortlist));
+    topk_latency_us_->record(static_cast<double>(t1 - t0) / 1000.0);
+    topk_cells_probed_->record(static_cast<double>(result.cells_probed));
+    topk_shortlist_->record(static_cast<double>(result.shortlist));
     WireWriter reply;
     encode(result, &reply);
     wscope.error = !send_data_reply(call.stream, MsgType::kTopKReply, reply);
@@ -442,8 +433,8 @@ void Server::register_handlers() {
     if (const serve::SnapshotPtr live = store_.live()) {
       report.encoding = live->encoding();
     }
-    report.service = service_.stats().snapshot();
-    report.batcher = async_.stats().snapshot();
+    report.service = serve::stats_snapshot(*service_stats_);
+    report.batcher = serve::stats_snapshot(*batcher_stats_);
     return report;
   });
   rpc_.handle_query(MsgType::kMetrics, [this] { return metrics_.snapshot(); });
@@ -537,15 +528,14 @@ CanaryStatusReport Server::start_canary(const std::string& candidate,
   // thin client can pass zeros.
   if (fraction > 0.0 && fraction <= 1.0) ccfg.fraction = fraction;
   if (shadow_rate > 0.0 && shadow_rate <= 1.0) ccfg.shadow_rate = shadow_rate;
-  // Candidate-side traffic counts into the server's own stats, so kStats
-  // does not under-report while the canary runs.
+  // Candidate-side traffic counts into the server's own recorders, so
+  // STATS and METRICS do not under-report while the canary runs.
   ccfg.candidate_service_stats = service_stats_;
   ccfg.candidate_batcher_stats = batcher_stats_;
   // Same rationale for key-load attribution: the candidate stack serves a
   // slice of real traffic, so its keys feed the same sketch/heat map and
   // the HEAT view stays whole-traffic.
   ccfg.candidate_lookup.load = load_.get();
-  ccfg.candidate_batcher.windowed = &batch_windowed_;
   serve::GateReport offline;
   const auto router =
       gate_.try_promote(store_, candidate, async_, ccfg, &offline);

@@ -88,8 +88,8 @@ struct ServerConfig {
   double topk_churn_reject = 0.0;
   std::size_t topk_churn_queries = 64;
   std::size_t topk_churn_k = 10;
-  /// Windowed-telemetry ring shape, shared by the RPC-level and
-  /// batch-level recorders (they must agree so their snapshots merge).
+  /// Windowed-telemetry ring shape of the RPC-level and batcher
+  /// recorders.
   obs::WindowedConfig windowed;
   /// SLO burn-rate policy over the RPC window (`--slo-p99-us`,
   /// `--slo-error-budget` on the daemon).
@@ -142,7 +142,7 @@ class Server {
   FaultInjector& fault_injector() { return faults_; }
   /// The ANN service behind the TOPK RPC; nullptr when ann_enable=false.
   ann::AnnService* ann() { return ann_.get(); }
-  /// RPC-level windowed telemetry (one record per data-plane request).
+  /// RPC-level recorder (one record per data-plane request).
   obs::WindowedStats& windowed() { return windowed_; }
   /// Key-load recorders fed by LookupService; nullptr when
   /// hot_key_capacity == 0.
@@ -170,17 +170,18 @@ class Server {
 
   serve::EmbeddingStore& store_;
   ServerConfig config_;
-  /// Shared with the canary router's candidate-side stack, so the Stats
-  /// RPC keeps covering all traffic while a canary routes part of it.
-  std::shared_ptr<serve::ServeStats> service_stats_;
-  std::shared_ptr<serve::ServeStats> batcher_stats_;
+  /// The serve-layer recorders behind STATS and METRICS: the
+  /// LookupService view (execute latency, OOV fallbacks as errors) and
+  /// the batcher view (queue-to-scatter latency, rolling keys/s). Shared
+  /// with the canary router's candidate-side stack, so both keep covering
+  /// all traffic while a canary routes part of it.
+  std::shared_ptr<obs::WindowedStats> service_stats_;
+  std::shared_ptr<obs::WindowedStats> batcher_stats_;
   /// Telemetry recorders are declared (and constructed) before the
   /// services that hold pointers into them: windowed_ feeds the RPC
-  /// dispatch loop, batch_windowed_ rides BatcherConfig::windowed, and
-  /// load_ rides LookupConfig::load (so the canary's candidate stack and
-  /// the incumbent attribute into the same sketch).
+  /// dispatch loop and load_ rides LookupConfig::load (so the canary's
+  /// candidate stack and the incumbent attribute into the same sketch).
   obs::WindowedStats windowed_;
-  obs::WindowedStats batch_windowed_;
   std::unique_ptr<obs::KeyLoadRecorder> load_;
   obs::SloMonitor slo_;
   serve::LookupService service_;
@@ -194,12 +195,12 @@ class Server {
   std::unique_ptr<obs::DriftProbe> drift_;
   FaultInjector faults_;
   std::unique_ptr<ann::AnnService> ann_;
-  /// TOPK observability: request count plus the tuning-relevant shape of
-  /// each served search (latency, cells probed, shortlist size).
-  std::atomic<std::uint64_t> topk_requests_{0};
-  obs::LogHistogram topk_latency_us_;
-  obs::LogHistogram topk_cells_probed_;
-  obs::LogHistogram topk_shortlist_;
+  /// TOPK observability, owned by metrics_ (null when ann_enable=false):
+  /// the tuning-relevant shape of each served search. The latency
+  /// histogram's count is the request count.
+  obs::LogHistogram* topk_latency_us_ = nullptr;
+  obs::LogHistogram* topk_cells_probed_ = nullptr;
+  obs::LogHistogram* topk_shortlist_ = nullptr;
 
   /// The canary-routed data plane: nullptr or inactive → the plain async
   /// path. The pointer is swapped under canary_mu_ by the control plane;

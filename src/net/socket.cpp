@@ -51,14 +51,6 @@ TcpStream::~TcpStream() { close(); }
 TcpStream::TcpStream(TcpStream&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)) {}
 
-TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
-}
-
 void TcpStream::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -163,18 +155,6 @@ bool TcpStream::wait_readable(int timeout_ms) const {
 // ---- TcpListener -------------------------------------------------------
 
 TcpListener::~TcpListener() { close(); }
-
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(other.port_) {}
-
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    port_ = other.port_;
-  }
-  return *this;
-}
 
 void TcpListener::close() {
   if (fd_ >= 0) {

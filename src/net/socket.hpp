@@ -23,13 +23,13 @@ struct NetError : std::runtime_error {
 /// that says nothing about the peer.
 bool is_resource_exhaustion(int err);
 
-/// A connected TCP stream. Move-only; closes on destruction.
+/// A connected TCP stream. Move-constructible, not assignable; closes on
+/// destruction.
 class TcpStream {
  public:
   explicit TcpStream(int fd) : fd_(fd) {}
   ~TcpStream();
   TcpStream(TcpStream&& other) noexcept;
-  TcpStream& operator=(TcpStream&& other) noexcept;
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
 
@@ -74,12 +74,11 @@ class TcpStream {
   int fd_ = -1;
 };
 
-/// A listening socket bound to 127.0.0.1. Move-only; closes on destruction.
+/// A listening socket bound to 127.0.0.1. Neither copyable nor movable;
+/// closes on destruction.
 class TcpListener {
  public:
   ~TcpListener();
-  TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&& other) noexcept;
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
 

@@ -48,7 +48,6 @@
 #include "serve/canary.hpp"
 #include "serve/deployment_gate.hpp"
 #include "serve/lookup_service.hpp"
-#include "serve/serve_stats.hpp"
 
 namespace anchor::net {
 

@@ -98,10 +98,7 @@ DriftSample DriftProbe::run_once() {
   std::lock_guard<std::mutex> lock(mu_);
   DriftSample sample;
   const serve::SnapshotPtr live = store_.live();
-  if (!reference_ || !live) {
-    last_ = sample;
-    return sample;
-  }
+  if (!reference_ || !live) return sample;
   sample.live_version = live->version();
   sample.same_snapshot = live.get() == reference_.get();
 
@@ -164,7 +161,6 @@ DriftSample DriftProbe::run_once() {
     }
   }
 
-  last_ = sample;
   if (runs_counter_ != nullptr) runs_counter_->inc();
   if (agreement_gauge_ != nullptr) {
     agreement_gauge_->set(sample.topk_agreement);
@@ -225,11 +221,6 @@ void DriftProbe::loop() {
     run_once();
     lock.lock();
   }
-}
-
-DriftSample DriftProbe::last() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_;
 }
 
 }  // namespace anchor::obs

@@ -78,7 +78,6 @@ class DriftProbe {
   void start();
   void stop();
 
-  DriftSample last() const;
   const std::string& reference_version() const { return reference_version_; }
   const DriftProbeConfig& config() const { return config_; }
 
@@ -104,8 +103,7 @@ class DriftProbe {
   Gauge* displacement_mean_gauge_ = nullptr;
   Counter* runs_counter_ = nullptr;
 
-  mutable std::mutex mu_;  // last_ + serialized run_once
-  DriftSample last_;
+  std::mutex mu_;  // serializes run_once
 
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;

@@ -124,15 +124,6 @@ SketchSnapshot SpaceSavingSketch::snapshot() const {
   return out;
 }
 
-void SpaceSavingSketch::reset() {
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    sp->index.clear();
-    sp->entries.clear();
-    sp->total = 0;
-  }
-}
-
 // ---- HeatMapSnapshot -----------------------------------------------------
 
 void HeatMapSnapshot::merge(const HeatMapSnapshot& other) {

@@ -87,11 +87,9 @@ class SpaceSavingSketch {
   void offer(std::uint64_t key, std::uint64_t n = 1);
 
   /// Consistent per stripe (each stripe snapshots under its mutex);
-  /// cross-stripe skew is bounded by in-flight offers, same discipline
-  /// as ServeStats counters.
+  /// cross-stripe skew is bounded by in-flight offers, the same
+  /// discipline as the WindowedStats counters.
   SketchSnapshot snapshot() const;
-
-  void reset();
 
   std::size_t stripe_capacity() const { return stripe_capacity_; }
 

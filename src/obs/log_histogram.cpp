@@ -52,31 +52,6 @@ void LogHistogram::record_units(std::uint64_t units, std::uint64_t n) {
   }
 }
 
-void LogHistogram::merge_from(const LogHistogram& other) {
-  merge_from(other.snapshot());
-}
-
-void LogHistogram::merge_from(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  for (std::size_t i = 0; i < other.counts.size(); ++i) {
-    if (other.counts[i] != 0) {
-      buckets_[i].fetch_add(other.counts[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  sum_units_.fetch_add(other.sum_units, std::memory_order_relaxed);
-  std::uint64_t cur = min_units_.load(std::memory_order_relaxed);
-  while (other.min_units < cur &&
-         !min_units_.compare_exchange_weak(cur, other.min_units,
-                                           std::memory_order_relaxed)) {
-  }
-  cur = max_units_.load(std::memory_order_relaxed);
-  while (other.max_units > cur &&
-         !max_units_.compare_exchange_weak(cur, other.max_units,
-                                           std::memory_order_relaxed)) {
-  }
-}
-
 void LogHistogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

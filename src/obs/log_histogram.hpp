@@ -33,9 +33,9 @@
 // bucket plus relaxed aggregate updates; there is no mutex anywhere on
 // the write path. snapshot() reads the buckets relaxed, so a snapshot
 // taken during concurrent recording is "consistent enough" (counts may
-// trail the aggregates by in-flight records), same discipline as
-// ServeStats counters. reset() zeroes buckets in place; records racing a
-// reset land on either side of it — attribution, not corruption.
+// trail the aggregates by in-flight records), the same discipline as the
+// WindowedStats counters. reset() zeroes buckets in place; records racing
+// a reset land on either side of it — attribution, not corruption.
 #pragma once
 
 #include <array>
@@ -101,13 +101,9 @@ class LogHistogram {
     if (n != 0) record_units(to_units(value), n);
   }
 
-  /// Adds every bucket of `other` into this histogram (exact merge).
-  void merge_from(const LogHistogram& other);
-  void merge_from(const HistogramSnapshot& other);
-
   /// Zeroes every bucket and aggregate. Concurrent records may land on
-  /// either side of the sweep (attribution is fuzzy, like the ServeStats
-  /// counter reset), but no pre-reset count survives it.
+  /// either side of the sweep (attribution is fuzzy, like the
+  /// WindowedStats total's reset), but no pre-reset count survives it.
   void reset();
 
   std::uint64_t count() const {

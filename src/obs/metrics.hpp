@@ -10,11 +10,12 @@
 //   • owned: counter()/gauge()/histogram() create (or return) a metric
 //     the registry owns; components keep the reference and update it on
 //     their hot path (atomics, no locks).
-//   • bridged: sources whose numbers already live elsewhere (ServeStats,
-//     canary state) register an on_collect callback that copies the
-//     current values into registry metrics at snapshot time, or a
-//     histogram provider that snapshots a live LogHistogram. No double
-//     counting, no hot-path changes in the source.
+//   • bridged: sources whose numbers already live elsewhere (a
+//     WindowedStats recorder's total, canary state) register an
+//     on_collect callback that copies the current values into registry
+//     metrics at snapshot time, or a histogram provider that snapshots a
+//     live histogram. No double counting, no hot-path changes in the
+//     source.
 //
 // Naming follows Prometheus conventions (snake_case, counters end in
 // _total, unit suffixes like _us); a name may carry a literal label set
@@ -105,8 +106,8 @@ class MetricsRegistry {
   LogHistogram& histogram(const std::string& name,
                           const std::string& help = "");
 
-  /// Bridged histogram: `source` is called at snapshot time (e.g. wraps
-  /// ServeStats::latency_histogram). Replaces any previous registration
+  /// Bridged histogram: `source` is called at snapshot time (e.g. reads
+  /// a WindowedStats total's latency). Replaces any previous registration
   /// under the same name.
   void register_histogram(const std::string& name, const std::string& help,
                           std::function<HistogramSnapshot()> source);

@@ -100,7 +100,9 @@ std::uint64_t count_over(const HistogramSnapshot& h, double threshold) {
   return n;
 }
 
-WindowedStats::WindowedStats(const WindowedConfig& config) : config_(config) {
+WindowedStats::WindowedStats(const WindowedConfig& config)
+    : config_(config),
+      start_ticks_(std::chrono::steady_clock::now().time_since_epoch().count()) {
   if (config_.slice_us == 0) config_.slice_us = 1;
   if (config_.num_slices < 2) config_.num_slices = 2;
   slots_.reserve(config_.num_slices);
@@ -114,6 +116,19 @@ std::uint64_t WindowedStats::wall_micros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
+}
+
+void WindowedStats::record_since(std::chrono::system_clock::time_point start,
+                                 std::uint64_t requests,
+                                 std::uint64_t errors) {
+  const auto end = std::chrono::system_clock::now();
+  const double latency_us =
+      std::chrono::duration<double, std::micro>(end - start).count();
+  record_many_at(static_cast<std::uint64_t>(
+                     std::chrono::duration_cast<std::chrono::microseconds>(
+                         end.time_since_epoch())
+                         .count()),
+                 std::max(latency_us, 0.0), requests, errors);
 }
 
 void WindowedStats::record_many_at(std::uint64_t now_us, double latency_us,
@@ -140,6 +155,35 @@ void WindowedStats::record_many_at(std::uint64_t now_us, double latency_us,
   if (latency_us >= 0.0) {
     slot.latency.record_n(latency_us, requests != 0 ? requests : 1);
   }
+  total_records_.fetch_add(1, std::memory_order_relaxed);
+  total_requests_.fetch_add(requests, std::memory_order_relaxed);
+  total_errors_.fetch_add(errors, std::memory_order_relaxed);
+  if (latency_us >= 0.0) total_latency_.record(latency_us);
+}
+
+WindowedTotals WindowedStats::totals() const {
+  WindowedTotals t;
+  t.records = total_records_.load(std::memory_order_relaxed);
+  t.requests = total_requests_.load(std::memory_order_relaxed);
+  t.errors = total_errors_.load(std::memory_order_relaxed);
+  const auto start = std::chrono::steady_clock::time_point(
+      std::chrono::steady_clock::duration(
+          start_ticks_.load(std::memory_order_relaxed)));
+  t.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  t.latency = total_latency_.snapshot();
+  return t;
+}
+
+void WindowedStats::reset() {
+  total_records_.store(0, std::memory_order_relaxed);
+  total_requests_.store(0, std::memory_order_relaxed);
+  total_errors_.store(0, std::memory_order_relaxed);
+  total_latency_.reset();
+  start_ticks_.store(
+      std::chrono::steady_clock::now().time_since_epoch().count(),
+      std::memory_order_relaxed);
 }
 
 WindowedSnapshot WindowedStats::snapshot_at(std::uint64_t now_us) const {

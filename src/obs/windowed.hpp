@@ -1,14 +1,25 @@
-// Windowed (rolling-rate) telemetry: a rotating ring of time-bucketed
-// LogHistogram+counter slices, plus an SLO monitor on top.
+// The request recorder: a rotating ring of time-bucketed
+// LogHistogram+counter slices beside an all-time total, plus an SLO
+// monitor on top.
 //
-// The PR-6 metrics plane exports process-lifetime cumulative counters and
-// histograms — fine for "how much since boot", useless for "how fast right
-// now". A WindowedStats keeps the last `num_slices` × `slice_us` of
-// traffic in a ring of slices (default 16 × 5 s = 80 s of history), each
-// slice a LogHistogram plus request/error counters keyed by its absolute
-// epoch (floor(unix_micros / slice_us)). Rolling 10 s / 1 m QPS, error
-// rate, and latency quantiles fall out of summing the slices that overlap
-// the trailing window.
+// Every served event is recorded once, into one WindowedStats per
+// vantage point (the RPC plane, the batcher, the LookupService, the
+// router), and each view a daemon exports — STATS, METRICS, HEAT — reads
+// that one recorder, so two views of the same traffic cannot disagree.
+// The all-time total answers "how much since boot" (STATS, the _total
+// counters and latency histograms); the ring answers "how fast right
+// now": it keeps the last `num_slices` × `slice_us` of traffic (default
+// 16 × 5 s = 80 s of history), each slice a LogHistogram plus
+// request/error counters keyed by its absolute epoch
+// (floor(unix_micros / slice_us)). Rolling 10 s / 1 m QPS, error rate,
+// and latency quantiles fall out of summing the slices that overlap the
+// trailing window.
+//
+// Latency weighting differs between the two on purpose. A slice weights
+// a record's latency by its requests, so the SLO burn is per request. The
+// total keeps one latency sample per record call: one per request where
+// each request is recorded alone (the RPC plane, the router), one per
+// coalesced batch where a batch is (the batcher, LookupService).
 //
 // Mergeability is the same contract as HistogramSnapshot: slices are keyed
 // by absolute wall-clock epoch (system_clock, so epochs line up across
@@ -22,7 +33,9 @@
 // slot's rotate mutex once per slice_us to reset it for the new epoch.
 // Records racing a rotation land on one side or the other of the slice
 // boundary — attribution fuzz of at most one slice, never corruption,
-// same discipline as LogHistogram::reset().
+// same discipline as LogHistogram::reset(). The total is relaxed
+// fetch_adds too, so a totals() read during recording may trail by the
+// records in flight.
 //
 // The SloMonitor implements multi-window burn-rate alerting: a request
 // violates the SLO when it errored or took longer than the p99 target;
@@ -33,6 +46,8 @@
 // so a single hiccup spike does not page and a sustained breach does.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -81,6 +96,16 @@ struct WindowedSnapshot {
 /// bucket width ≤ LogHistogram::kMaxRelativeError).
 std::uint64_t count_over(const HistogramSnapshot& h, double threshold);
 
+/// Every record since construction or the last WindowedStats::reset().
+struct WindowedTotals {
+  std::uint64_t records = 0;  // record calls (a coalesced batch is one)
+  std::uint64_t requests = 0;
+  std::uint64_t errors = 0;
+  double elapsed_seconds = 0.0;  // since construction or reset()
+  /// One sample per record call that carried a latency.
+  HistogramSnapshot latency;
+};
+
 struct WindowedConfig {
   std::uint64_t slice_us = 5'000'000;  // 5 s slices
   std::size_t num_slices = 16;         // 80 s of history
@@ -103,18 +128,31 @@ class WindowedStats {
     record_many_at(wall_micros(), latency_us, requests, errors);
   }
   /// Counts requests that carried no latency observation (the batcher's
-  /// unsampled-clock fast path) — same no-fake-zeroes discipline as
-  /// ServeStats::record_batch_unsampled.
+  /// unsampled-clock fast path): a latency-free record adds no fake 0 µs
+  /// sample to either histogram.
   void record_unsampled(std::uint64_t requests, std::uint64_t errors) {
     record_many_at(wall_micros(), -1.0, requests, errors);
   }
-  /// Deterministic-time variant for tests. A negative `latency_us` counts
-  /// the requests without a latency observation.
+  /// Records work that began at `start`: the one clock read at the end
+  /// gives both the latency and the slice epoch. The latency is wall
+  /// time, so a clock step during the work skews that one sample.
+  void record_since(std::chrono::system_clock::time_point start,
+                    std::uint64_t requests, std::uint64_t errors);
+  /// Explicit-time variant (tests, and record_since). A negative
+  /// `latency_us` counts the requests without a latency observation. A
+  /// record with no requests and no errors records nothing.
   void record_many_at(std::uint64_t now_us, double latency_us,
                       std::uint64_t requests, std::uint64_t errors);
 
   WindowedSnapshot snapshot() const { return snapshot_at(wall_micros()); }
   WindowedSnapshot snapshot_at(std::uint64_t now_us) const;
+
+  WindowedTotals totals() const;
+  /// Zeroes the all-time total and restarts its clock. The slices are
+  /// wall-clock history and age out of the ring on their own. Records
+  /// racing a reset land on either side of it (attribution, not
+  /// corruption, like LogHistogram::reset).
+  void reset();
 
   const WindowedConfig& config() const { return config_; }
 
@@ -134,6 +172,13 @@ class WindowedStats {
 
   WindowedConfig config_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  std::atomic<std::uint64_t> total_records_{0};
+  std::atomic<std::uint64_t> total_requests_{0};
+  std::atomic<std::uint64_t> total_errors_{0};
+  LogHistogram total_latency_;
+  // steady_clock ticks at construction or the last reset; atomic because
+  // totals() may run concurrently with reset().
+  std::atomic<std::chrono::steady_clock::rep> start_ticks_;
 };
 
 struct SloConfig {

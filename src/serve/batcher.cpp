@@ -51,12 +51,13 @@ std::size_t round_up_pow2(std::size_t v) {
 
 }  // namespace
 
-AsyncLookupService::AsyncLookupService(const LookupService& service,
-                                       BatcherConfig config,
-                                       std::shared_ptr<ServeStats> stats)
+AsyncLookupService::AsyncLookupService(
+    const LookupService& service, BatcherConfig config,
+    std::shared_ptr<obs::WindowedStats> stats)
     : service_(service),
       config_(config),
-      stats_(stats ? std::move(stats) : std::make_shared<ServeStats>()),
+      stats_(stats ? std::move(stats)
+                   : std::make_shared<obs::WindowedStats>()),
       results_(std::make_shared<ResultFreelist>()) {
   if (config_.max_batch_size == 0) config_.max_batch_size = 1;
   // The ring must fit at least two full batches so a combiner never
@@ -345,18 +346,11 @@ void AsyncLookupService::execute_batch(const std::vector<Mailbox*>& boxes) {
   if (!error) {
     if (oldest_ns == 0) {
       // No sampled timestamp in this batch — count it without polluting
-      // the latency ring with a fake 0 µs entry.
-      stats_->record_batch_unsampled(keys);
-      if (config_.windowed != nullptr) {
-        config_.windowed->record_unsampled(keys, 0);
-      }
+      // the latency histograms with a fake 0 µs entry.
+      stats_->record_unsampled(keys, 0);
     } else {
-      const double latency_us =
-          static_cast<double>(now_ns() - oldest_ns) / 1000.0;
-      stats_->record_batch(keys, latency_us);
-      if (config_.windowed != nullptr) {
-        config_.windowed->record_many(latency_us, keys, 0);
-      }
+      stats_->record_many(static_cast<double>(now_ns() - oldest_ns) / 1000.0,
+                          keys, 0);
     }
   }
   if (traced != nullptr) {

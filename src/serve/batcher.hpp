@@ -50,7 +50,6 @@
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
 #include "serve/lookup_service.hpp"
-#include "serve/serve_stats.hpp"
 
 namespace anchor::serve {
 
@@ -68,11 +67,6 @@ struct BatcherConfig {
   /// Producers finding it full help combine and retry (backpressure, not
   /// failure).
   std::size_t ring_capacity = 1024;
-  /// When set, every coalesced flush is recorded as a windowed slice
-  /// (keys with their shared client-observed latency), so the rolling
-  /// batch QPS rides the same ring the RPC plane uses. Not owned; must
-  /// outlive the service.
-  obs::WindowedStats* windowed = nullptr;
 };
 
 /// One caller's slice of a coalesced batch result: rows
@@ -154,13 +148,15 @@ class AsyncLookupService {
     Mailbox* box_ = nullptr;
   };
 
-  /// The service must outlive this object. `stats` records *coalesced*
-  /// batches with client-observed latency (enqueue of the oldest waiter →
-  /// scatter), one record per flush — the underlying LookupService's own
-  /// stats keep counting the executed batches. Null = internal instance.
-  explicit AsyncLookupService(const LookupService& service,
-                              BatcherConfig config = {},
-                              std::shared_ptr<ServeStats> stats = nullptr);
+  /// The service must outlive this object. `stats` is the batcher view's
+  /// recorder: one record per coalesced batch, its keys with their shared
+  /// client-observed latency (enqueue of the oldest waiter → scatter), so
+  /// its window is the rolling keys/s. The underlying LookupService's own
+  /// recorder keeps counting the executed batches. Null = the service
+  /// owns one.
+  explicit AsyncLookupService(
+      const LookupService& service, BatcherConfig config = {},
+      std::shared_ptr<obs::WindowedStats> stats = nullptr);
   /// Flushes the ring: every handed-out future completes.
   ~AsyncLookupService();
   AsyncLookupService(const AsyncLookupService&) = delete;
@@ -180,8 +176,8 @@ class AsyncLookupService {
   SliceFuture lookup_words(std::vector<std::string> words,
                            const obs::TraceContext& trace = {});
 
-  const ServeStats& stats() const { return *stats_; }
-  ServeStats& stats() { return *stats_; }
+  const obs::WindowedStats& stats() const { return *stats_; }
+  obs::WindowedStats& stats() { return *stats_; }
   const BatcherConfig& config() const { return config_; }
 
   /// Requests currently queued (not yet claimed by a combiner). For
@@ -263,7 +259,7 @@ class AsyncLookupService {
 
   const LookupService& service_;
   BatcherConfig config_;
-  std::shared_ptr<ServeStats> stats_;
+  std::shared_ptr<obs::WindowedStats> stats_;
 
   std::vector<Slot> slots_;
   std::uint64_t ring_mask_ = 0;

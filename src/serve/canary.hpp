@@ -20,7 +20,7 @@
 //     SnapshotConfig::align_to_live),
 //   • latency deltas between the mirrored lookups,
 // all recorded in lock-free CanaryStats counters + obs::LogHistograms
-// (same discipline as ServeStats: recording never takes a lock).
+// (same discipline as obs::WindowedStats: recording never takes a lock).
 //
 // Promotion is two-phase (DeploymentGate::try_promote overload): phase 1
 // is the offline gate as before; phase 2 lets the router watch the
@@ -93,11 +93,11 @@ struct CanaryConfig {
   LookupConfig candidate_lookup;
   BatcherConfig candidate_batcher;
   /// When set, the candidate-side stack records into these shared
-  /// counters instead of private ones. The RPC server shares its own,
-  /// so a Stats query keeps reporting ALL traffic while a canary runs
-  /// (candidate-routed lookups would otherwise vanish from it).
-  std::shared_ptr<ServeStats> candidate_service_stats = nullptr;
-  std::shared_ptr<ServeStats> candidate_batcher_stats = nullptr;
+  /// recorders instead of private ones. The RPC server shares its own,
+  /// so STATS and METRICS keep reporting ALL traffic while a canary runs
+  /// (candidate-routed lookups would otherwise vanish from them).
+  std::shared_ptr<obs::WindowedStats> candidate_service_stats = nullptr;
+  std::shared_ptr<obs::WindowedStats> candidate_batcher_stats = nullptr;
 };
 
 enum class CanaryState : std::uint8_t {

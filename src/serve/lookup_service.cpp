@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 
 #include "obs/heavy_hitters.hpp"
 #include "obs/trace.hpp"
@@ -26,17 +27,41 @@ bool parse_synthetic_word_id(const std::string& word, std::size_t* id) {
   return true;
 }
 
+StatsSnapshot stats_snapshot(const obs::WindowedStats& recorder) {
+  obs::WindowedTotals t = recorder.totals();
+  StatsSnapshot s;
+  s.lookups = t.requests;
+  s.batches = t.records;
+  s.oov_fallbacks = t.errors;
+  s.elapsed_seconds = t.elapsed_seconds;
+  if (s.elapsed_seconds > 0.0) {
+    s.qps = static_cast<double>(s.lookups) / s.elapsed_seconds;
+  }
+  s.latency = std::move(t.latency);
+  s.refresh_percentiles();
+  return s;
+}
+
+std::string StatsSnapshot::summary() const {
+  std::ostringstream os;
+  os << "lookups=" << lookups << " batches=" << batches << " qps=" << qps
+     << " p50=" << p50_latency_us << "us p99=" << p99_latency_us
+     << "us oov=" << oov_fallbacks;
+  return os.str();
+}
+
 LookupService::LookupService(const EmbeddingStore& store, LookupConfig config,
-                             std::shared_ptr<ServeStats> stats)
+                             std::shared_ptr<obs::WindowedStats> stats)
     : store_(store),
       config_(config),
-      stats_(stats ? std::move(stats) : std::make_shared<ServeStats>()) {}
+      stats_(stats ? std::move(stats)
+                   : std::make_shared<obs::WindowedStats>()) {}
 
 template <typename Resolve, typename OovFill>
 void LookupService::lookup_batch_into(std::size_t n, const Resolve& resolve,
                                       const OovFill& oov_fill,
                                       LookupResult* out) const {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::system_clock::now();
   const SnapshotPtr snap =
       config_.pin_snapshot ? config_.pin_snapshot : store_.live();
   ANCHOR_CHECK_MSG(snap != nullptr, "lookup against a store with no versions");
@@ -100,12 +125,7 @@ void LookupService::lookup_batch_into(std::size_t n, const Resolve& resolve,
     }
   }
 
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  stats_->record_batch(n, latency_us);
-  if (oov_count > 0) stats_->record_oov(oov_count);
+  stats_->record_since(start, n, oov_count);
 }
 
 void LookupService::lookup_ids_into(const std::vector<std::size_t>& ids,

@@ -10,6 +10,10 @@
 // Requests may also carry word *strings*; ids outside the live vocabulary
 // fall back to subword synthesis (embed/subword hashed n-grams) when the
 // snapshot carries an OOV table.
+//
+// Each executed batch is recorded once into the service's
+// obs::WindowedStats; StatsSnapshot is the STATS wire view of such a
+// recorder's all-time total.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +21,45 @@
 #include <string>
 #include <vector>
 
+#include "obs/log_histogram.hpp"
+#include "obs/windowed.hpp"
 #include "serve/embedding_store.hpp"
-#include "serve/serve_stats.hpp"
 
 namespace anchor::obs {
 struct KeyLoadRecorder;
 }  // namespace anchor::obs
 
 namespace anchor::serve {
+
+/// STATS view of one serve-layer recorder (see stats_snapshot()).
+struct StatsSnapshot {
+  std::uint64_t lookups = 0;        // individual vectors served
+  std::uint64_t batches = 0;        // batched requests served
+  std::uint64_t oov_fallbacks = 0;  // lookups answered via subword synthesis
+  double elapsed_seconds = 0.0;     // since construction or last reset
+  double qps = 0.0;                 // lookups / elapsed_seconds
+  /// Per-batch latency quantiles derived from `latency` (bucket lower
+  /// bound, ≤ 1/32 relative error — obs::LogHistogram's contract).
+  double p50_latency_us = 0.0;
+  double p99_latency_us = 0.0;
+  /// The full mergeable latency histogram (µs). Cluster aggregation merges
+  /// these and re-derives the quantiles, never maxes the percentiles.
+  obs::HistogramSnapshot latency;
+
+  /// Re-derives p50/p99 from `latency` — what cluster aggregation calls
+  /// after merging shard histograms into this snapshot.
+  void refresh_percentiles() {
+    p50_latency_us = latency.quantile(0.50);
+    p99_latency_us = latency.quantile(0.99);
+  }
+
+  /// One-line human-readable summary ("qps=... p50=...us ...").
+  std::string summary() const;
+};
+
+/// The STATS view of a recorder's all-time total: lookups are its
+/// requests, batches its record calls, oov_fallbacks its errors.
+StatsSnapshot stats_snapshot(const obs::WindowedStats& recorder);
 
 struct LookupConfig {
   /// When set, every lookup resolves this exact snapshot instead of the
@@ -76,10 +111,14 @@ struct LookupResult {
 
 class LookupService {
  public:
-  /// The store must outlive the service. `stats` may be shared with other
-  /// services; when null an internal ServeStats is used.
+  /// The store must outlive the service. `stats` is the service view's
+  /// recorder: one record per executed batch, latency = the batch's
+  /// execute time, and the batch's OOV fallbacks as its errors (a
+  /// fallback row is served but is not a real embedding, as the router
+  /// counts its degraded rows). No SLO or window export reads it. It may
+  /// be shared with other services; when null the service owns one.
   explicit LookupService(const EmbeddingStore& store, LookupConfig config = {},
-                         std::shared_ptr<ServeStats> stats = nullptr);
+                         std::shared_ptr<obs::WindowedStats> stats = nullptr);
 
   /// Batched lookup by word id against the live snapshot. Ids ≥ vocab_size
   /// yield zero vectors flagged oov (no subword string to synthesize from).
@@ -97,14 +136,14 @@ class LookupService {
   void lookup_words_into(const std::vector<std::string>& words,
                          LookupResult* out) const;
 
-  const ServeStats& stats() const { return *stats_; }
-  ServeStats& stats() { return *stats_; }
+  const obs::WindowedStats& stats() const { return *stats_; }
+  obs::WindowedStats& stats() { return *stats_; }
 
  private:
   /// Shared batch skeleton: resolve the live snapshot, map every request to
   /// a row id via `resolve(i, snap, &row)` (false = OOV), gather all rows
   /// in one copy_rows call, write every OOV slot in full via `oov_fill`,
-  /// record stats.
+  /// record the batch.
   /// Writes into `*out` (reusing its buffers). Defined in the .cpp; the
   /// public entry points instantiate it there.
   template <typename Resolve, typename OovFill>
@@ -113,7 +152,7 @@ class LookupService {
 
   const EmbeddingStore& store_;
   LookupConfig config_;
-  std::shared_ptr<ServeStats> stats_;
+  std::shared_ptr<obs::WindowedStats> stats_;
 };
 
 }  // namespace anchor::serve

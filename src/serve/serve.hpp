@@ -10,4 +10,3 @@
 #include "serve/deployment_gate.hpp"
 #include "serve/embedding_store.hpp"
 #include "serve/lookup_service.hpp"
-#include "serve/serve_stats.hpp"

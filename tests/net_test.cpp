@@ -454,9 +454,15 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     EXPECT_EQ(back.rerank, req.rerank);
     EXPECT_EQ(back.mode, req.mode);
     EXPECT_EQ(back.kind, kind);
-    if (kind == kTopKKindId) EXPECT_EQ(back.id, req.id);
-    if (kind == kTopKKindWord) EXPECT_EQ(back.word, req.word);
-    if (kind == kTopKKindVector) EXPECT_EQ(back.vector, req.vector);
+    if (kind == kTopKKindId) {
+      EXPECT_EQ(back.id, req.id);
+    }
+    if (kind == kTopKKindWord) {
+      EXPECT_EQ(back.word, req.word);
+    }
+    if (kind == kTopKKindVector) {
+      EXPECT_EQ(back.vector, req.vector);
+    }
   }
 
   ann::TopKResult result;
@@ -1480,7 +1486,7 @@ TEST_F(RpcTest, ConcurrentClientsCoalesceAndAgree) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   // All traffic flowed through the server's batcher.
-  EXPECT_EQ(server_->async().stats().snapshot().lookups,
+  EXPECT_EQ(serve::stats_snapshot(server_->async().stats()).lookups,
             static_cast<std::uint64_t>(kClients * kLookups));
 }
 
@@ -1710,7 +1716,9 @@ TEST_F(RpcTest, SampledLookupTracesEveryBackendStage) {
   // Monotone and well-formed: sorted by start, every span closed.
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_LE(spans[i].start_ns, spans[i].end_ns);
-    if (i > 0) EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    if (i > 0) {
+      EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    }
   }
 
   // The next request is untraced again (set_next_trace is one-shot).

@@ -77,7 +77,7 @@ TEST_F(AsyncLookupTest, ConcurrentSingleKeyLookupsMatchDirectBatch) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const StatsSnapshot stats = async.stats().snapshot();
+  const StatsSnapshot stats = stats_snapshot(async.stats());
   EXPECT_EQ(stats.lookups, kThreads * kPerThread);
   // Every flush records one batch; coalescing can only reduce the count.
   EXPECT_LE(stats.batches, stats.lookups);
@@ -109,7 +109,7 @@ TEST_F(AsyncLookupTest, PipelinedRequestsCoalesceIntoSharedBatches) {
     if (slice.batch()->size() > 1) ++shared;
   }
   EXPECT_GT(shared, 0u);
-  const StatsSnapshot stats = async.stats().snapshot();
+  const StatsSnapshot stats = stats_snapshot(async.stats());
   EXPECT_EQ(stats.lookups, kRequests);
   // max_batch_size caps each flush, so at least ceil(256/32) batches; the
   // exact count depends on arrival timing.
@@ -247,7 +247,7 @@ TEST_F(AsyncLookupTest, WaiterParksWhileAnotherThreadRunsItsBatch) {
   }
   ASSERT_EQ(single.size(), 1u);
   EXPECT_EQ(single.row(0)[0], service.lookup_ids({7}).row(0)[0]);
-  EXPECT_EQ(async.stats().snapshot().batches, 1u);
+  EXPECT_EQ(stats_snapshot(async.stats()).batches, 1u);
 }
 
 TEST_F(AsyncLookupTest, SlicesOutliveTheServiceSafely) {

@@ -529,7 +529,7 @@ TEST(Lookup, OutOfRangeIdsAreZeroedAndFlagged) {
   for (std::size_t j = 0; j < result.dim; ++j) {
     EXPECT_EQ(result.row(1)[j], 0.0f);
   }
-  EXPECT_EQ(service.stats().snapshot().oov_fallbacks, 1u);
+  EXPECT_EQ(stats_snapshot(service.stats()).oov_fallbacks, 1u);
 }
 
 TEST(Lookup, EmptyStoreThrows) {
@@ -604,7 +604,7 @@ TEST(Lookup, EveryEncodingServesRowsBitIdenticalToCopyRow) {
                             e.dim * sizeof(float)),
                 0);
     }
-    EXPECT_EQ(service.stats().snapshot().oov_fallbacks, 3u + 4u);
+    EXPECT_EQ(stats_snapshot(service.stats()).oov_fallbacks, 3u + 4u);
   }
 }
 
@@ -642,7 +642,7 @@ TEST(Lookup, WordsResolveInVocabAndSynthesizeOov) {
     norm += static_cast<double>(result.row(1)[j]) * result.row(1)[j];
   }
   EXPECT_GT(norm, 0.0);  // synthesized, not zeroed
-  EXPECT_EQ(service.stats().snapshot().oov_fallbacks, 1u);
+  EXPECT_EQ(stats_snapshot(service.stats()).oov_fallbacks, 1u);
 }
 
 TEST(Lookup, ConcurrentLookupsDuringHotSwapStayConsistent) {
@@ -682,17 +682,17 @@ TEST(Lookup, ConcurrentLookupsDuringHotSwapStayConsistent) {
   stop.store(true);
   for (auto& w : workers) w.join();
   EXPECT_EQ(inconsistencies.load(), 0);
-  EXPECT_GT(service.stats().snapshot().lookups, 0u);
+  EXPECT_GT(stats_snapshot(service.stats()).lookups, 0u);
 }
 
-// ---- ServeStats --------------------------------------------------------
+// ---- serve-layer recorder (obs::WindowedStats total) -------------------
 
 TEST(Stats, CountsAndPercentiles) {
-  ServeStats stats;
+  obs::WindowedStats stats;
   for (int i = 1; i <= 100; ++i) {
-    stats.record_batch(10, static_cast<double>(i));
+    stats.record_many(static_cast<double>(i), 10, 0);
   }
-  const StatsSnapshot snap = stats.snapshot();
+  const StatsSnapshot snap = stats_snapshot(stats);
   EXPECT_EQ(snap.lookups, 1000u);
   EXPECT_EQ(snap.batches, 100u);
   EXPECT_GT(snap.qps, 0.0);
@@ -702,11 +702,10 @@ TEST(Stats, CountsAndPercentiles) {
 }
 
 TEST(Stats, ResetZeroesEverything) {
-  ServeStats stats;
-  stats.record_batch(5, 1.0);
-  stats.record_oov();
+  obs::WindowedStats stats;
+  stats.record_many(1.0, 5, 1);  // 5 lookups, 1 OOV fallback
   stats.reset();
-  const StatsSnapshot snap = stats.snapshot();
+  const StatsSnapshot snap = stats_snapshot(stats);
   EXPECT_EQ(snap.lookups, 0u);
   EXPECT_EQ(snap.oov_fallbacks, 0u);
   EXPECT_EQ(snap.p99_latency_us, 0.0);
@@ -718,18 +717,18 @@ TEST(Stats, PercentilesWithFewSamples) {
   // from the log histogram, so each estimate is the containing bucket's
   // lower bound (≤ 1/32 below the true value). 10 and 20 sit exactly on
   // bucket boundaries; 1000 does not, so its estimate lands just below.
-  ServeStats stats;
-  stats.record_batch(1, 20.0);
-  stats.record_batch(1, 1000.0);
-  stats.record_batch(1, 10.0);
-  const StatsSnapshot snap = stats.snapshot();
+  obs::WindowedStats stats;
+  stats.record_many(20.0, 1, 0);
+  stats.record_many(1000.0, 1, 0);
+  stats.record_many(10.0, 1, 0);
+  const StatsSnapshot snap = stats_snapshot(stats);
   EXPECT_EQ(snap.p50_latency_us, 20.0);
   EXPECT_NEAR(snap.p99_latency_us, 1000.0, 1000.0 / 32.0);
   EXPECT_LE(snap.p99_latency_us, 1000.0);
 
-  ServeStats one;
-  one.record_batch(1, 7.0);
-  const StatsSnapshot single = one.snapshot();
+  obs::WindowedStats one;
+  one.record_many(7.0, 1, 0);
+  const StatsSnapshot single = stats_snapshot(one);
   EXPECT_EQ(single.p50_latency_us, 7.0);
   EXPECT_EQ(single.p99_latency_us, 7.0);
 }
@@ -741,10 +740,10 @@ TEST(Stats, QuantilesCoverAllSamplesSinceReset) {
   // bucket) while the tail reports the higher one. Both values sit
   // exactly on bucket boundaries, so the comparisons are exact.
   constexpr std::size_t kEpoch = 4096;
-  ServeStats stats;
-  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_batch(1, 100.0);
-  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_batch(1, 200.0);
-  const StatsSnapshot snap = stats.snapshot();
+  obs::WindowedStats stats;
+  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_many(100.0, 1, 0);
+  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_many(200.0, 1, 0);
+  const StatsSnapshot snap = stats_snapshot(stats);
   EXPECT_EQ(snap.lookups, 2 * kEpoch);
   EXPECT_EQ(snap.latency.count, 2 * kEpoch);
   EXPECT_EQ(snap.p50_latency_us, 100.0);
@@ -752,8 +751,8 @@ TEST(Stats, QuantilesCoverAllSamplesSinceReset) {
 
   // More low samples drag the median down but never produce a value
   // outside the recorded range.
-  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_batch(1, 50.0);
-  const StatsSnapshot mixed = stats.snapshot();
+  for (std::size_t i = 0; i < kEpoch; ++i) stats.record_many(50.0, 1, 0);
+  const StatsSnapshot mixed = stats_snapshot(stats);
   EXPECT_GE(mixed.p50_latency_us, 50.0);
   EXPECT_LE(mixed.p99_latency_us, 200.0);
 }
@@ -765,25 +764,25 @@ TEST(Stats, SnapshotNeverMixesSamplesAcrossReset) {
   // marker surfacing would mean a pre-reset sample leaked into the
   // post-reset window.
   constexpr std::size_t kFill = 4096;
-  ServeStats stats;
-  for (std::size_t i = 0; i < kFill; ++i) stats.record_batch(1, 1000.0);
+  obs::WindowedStats stats;
+  for (std::size_t i = 0; i < kFill; ++i) stats.record_many(1000.0, 1, 0);
   stats.reset();
 
   // Zero post-reset samples: empty window, not the old ring.
-  EXPECT_EQ(stats.snapshot().p99_latency_us, 0.0);
+  EXPECT_EQ(stats_snapshot(stats).p99_latency_us, 0.0);
 
-  stats.record_batch(1, 7.0);
-  stats.record_batch(1, 5.0);
-  stats.record_batch(1, 6.0);
-  const StatsSnapshot snap = stats.snapshot();
+  stats.record_many(7.0, 1, 0);
+  stats.record_many(5.0, 1, 0);
+  stats.record_many(6.0, 1, 0);
+  const StatsSnapshot snap = stats_snapshot(stats);
   EXPECT_EQ(snap.batches, 3u);
   EXPECT_EQ(snap.p50_latency_us, 6.0);
   EXPECT_EQ(snap.p99_latency_us, 7.0);
 
   // Across several generations the filter keeps holding.
   stats.reset();
-  stats.record_batch(1, 3.0);
-  const StatsSnapshot again = stats.snapshot();
+  stats.record_many(3.0, 1, 0);
+  const StatsSnapshot again = stats_snapshot(stats);
   EXPECT_EQ(again.p50_latency_us, 3.0);
   EXPECT_EQ(again.p99_latency_us, 3.0);
 }
@@ -793,7 +792,7 @@ TEST(Stats, ResetUnderConcurrentRecordingStaysCoherent) {
   // but every snapshot must stay internally sane: no torn counts beyond
   // the recorded total, percentiles inside the recorded value range. No
   // sleeps — threads just hammer; ASan/TSan runs give the race coverage.
-  ServeStats stats;
+  obs::WindowedStats stats;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
   std::atomic<bool> go{false};
@@ -803,15 +802,14 @@ TEST(Stats, ResetUnderConcurrentRecordingStaysCoherent) {
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kPerThread; ++i) {
-        stats.record_batch(2, 5.0 + (i % 3));
-        stats.record_oov();
+        stats.record_many(5.0 + (i % 3), 2, 1);  // one OOV per batch
       }
     });
   }
   go.store(true, std::memory_order_release);
   for (int r = 0; r < 100; ++r) {
     stats.reset();
-    const StatsSnapshot snap = stats.snapshot();
+    const StatsSnapshot snap = stats_snapshot(stats);
     EXPECT_LE(snap.lookups, 2ull * kThreads * kPerThread);
     EXPECT_LE(snap.batches, 1ull * kThreads * kPerThread);
     if (snap.batches > 0) {
@@ -820,10 +818,10 @@ TEST(Stats, ResetUnderConcurrentRecordingStaysCoherent) {
     }
   }
   for (auto& t : recorders) t.join();
-  const StatsSnapshot final_snap = stats.snapshot();
+  const StatsSnapshot final_snap = stats_snapshot(stats);
   EXPECT_LE(final_snap.lookups, 2ull * kThreads * kPerThread);
   stats.reset();
-  EXPECT_EQ(stats.snapshot().batches, 0u);
+  EXPECT_EQ(stats_snapshot(stats).batches, 0u);
 }
 
 // ---- DeploymentGate ----------------------------------------------------

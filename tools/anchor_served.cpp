@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
     // half-written replies on the wire.
     std::cerr << "anchor_served draining (signal or shutdown RPC)...\n";
     server.stop();
-    const auto stats = server.service().stats().snapshot();
+    const auto stats = serve::stats_snapshot(server.service().stats());
     std::cerr << "anchor_served exiting; " << stats.summary() << "\n";
   } catch (const net::NetError& e) {
     // Usually the bind racing another process onto the same port (the

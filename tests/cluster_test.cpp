@@ -17,9 +17,11 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1109,6 +1111,87 @@ TEST(Router, MetricsRpcExposesRouterCountersAndLatency) {
   // The router's registry renders to Prometheus like the backend's.
   const std::string text = obs::to_prometheus(report);
   EXPECT_NE(text.find("anchor_router_lookups_total 2"), std::string::npos);
+}
+
+// ---- metric catalogue --------------------------------------------------
+
+/// Expands one README code span into the series names it documents:
+/// `{a,b}` lists alternatives, a brace group holding `=` is a label set
+/// and is dropped, and the name ends at the first space.
+void expand_catalogue_span(const std::string& span,
+                           std::set<std::string>* out) {
+  const std::size_t open = span.find('{');
+  if (open == std::string::npos) {
+    out->insert(span.substr(0, span.find(' ')));
+    return;
+  }
+  const std::size_t close = span.find('}', open);
+  ASSERT_NE(close, std::string::npos) << span;
+  const std::string group = span.substr(open + 1, close - open - 1);
+  const std::string head = span.substr(0, open);
+  const std::string tail = span.substr(close + 1);
+  if (group.find('=') != std::string::npos) {
+    expand_catalogue_span(head + tail, out);
+    return;
+  }
+  std::stringstream alternatives(group);
+  for (std::string alt; std::getline(alternatives, alt, ',');) {
+    expand_catalogue_span(head + alt + tail, out);
+  }
+}
+
+/// Every series name README's "Metrics plane" and "Load & drift
+/// telemetry" paragraphs document.
+std::set<std::string> readme_metric_catalogue() {
+  const std::filesystem::path readme =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "README.md";
+  std::ifstream in(readme);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string all = text.str();
+  const std::size_t begin = all.find("**Metrics plane**");
+  const std::size_t end = all.find("All three surfaces travel the wire");
+  std::set<std::string> names;
+  if (begin == std::string::npos || end == std::string::npos) return names;
+  const std::string section = all.substr(begin, end - begin);
+  for (std::size_t pos = section.find('`'); pos != std::string::npos;) {
+    const std::size_t close = section.find('`', pos + 1);
+    if (close == std::string::npos) break;
+    const std::string span = section.substr(pos + 1, close - pos - 1);
+    if (span.rfind("anchor_", 0) == 0) expand_catalogue_span(span, &names);
+    pos = section.find('`', close + 1);
+  }
+  return names;
+}
+
+void add_base_names(const obs::MetricsReport& report,
+                    std::set<std::string>* out) {
+  for (const obs::MetricValue& m : report.metrics) {
+    out->insert(m.name.substr(0, m.name.find('{')));
+  }
+}
+
+TEST(MetricCatalogue, EverySeriesADaemonRegistersIsInTheReadme) {
+  // A default backend and router after one routed lookup and one TOPK,
+  // so the series that appear with traffic (top keys, heat buckets) are
+  // registered too.
+  RouterFixture fx;
+  net::Client client("127.0.0.1", fx.router->port());
+  client.lookup_ids({1, 2, 500});
+  net::Client("127.0.0.1", fx.cluster->backends[0]->port()).topk_id(3, 5);
+
+  std::set<std::string> registered;
+  add_base_names(fx.router->metrics_registry().snapshot(), &registered);
+  add_base_names(
+      fx.cluster->backends[0]->server->metrics_registry().snapshot(),
+      &registered);
+  const std::set<std::string> documented = readme_metric_catalogue();
+  ASSERT_FALSE(documented.empty()) << "README catalogue not found";
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(documented.count(name) != 0)
+        << name << " is registered but missing from README's catalogue";
+  }
 }
 
 TEST(Router, GatedRolloutPromotesShardByShard) {

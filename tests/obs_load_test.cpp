@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -137,6 +138,62 @@ TEST(Windowed, UnsampledRequestsCountWithoutFakeLatency) {
   // dragging the quantiles down.
   EXPECT_EQ(s.latency_in(10'000'000).count, 1u);
   EXPECT_EQ(s.latency_in(10'000'000).quantile(0.5), 50.0);
+}
+
+TEST(Windowed, TotalKeepsOneLatencySamplePerRecordAndOutlivesTheRing) {
+  WindowedConfig cfg;
+  cfg.slice_us = 1'000'000;
+  cfg.num_slices = 4;
+  WindowedStats w(cfg);
+  // A coalesced batch: 10 requests, one of them an error, one latency.
+  w.record_many_at(kT0, 100.0, 10, 1);
+  // The slice weights the latency by requests (per-request SLO burn);
+  // the total keeps one sample for the one record call.
+  EXPECT_EQ(w.snapshot_at(kT0).latency_in(10'000'000).count, 10u);
+  EXPECT_EQ(w.totals().latency.count, 1u);
+
+  w.record_many_at(kT0 + 1'000'000, -1.0, 5, 0);  // unsampled batch
+  w.record_many_at(kT0 + 10'000'000, 200.0, 1, 0);
+  w.record_many_at(kT0 + 10'000'000, 300.0, 0, 0);  // empty: no record
+  const WindowedTotals t = w.totals();
+  EXPECT_EQ(t.records, 3u);
+  EXPECT_EQ(t.requests, 16u);
+  EXPECT_EQ(t.errors, 1u);
+  EXPECT_EQ(t.latency.count, 2u);
+  EXPECT_EQ(t.latency.quantile(0.5), 100.0);
+  EXPECT_EQ(t.latency.quantile(0.99), 200.0);
+  EXPECT_GE(t.elapsed_seconds, 0.0);
+  // The first two slices left the 4-slice ring; the total kept them.
+  EXPECT_EQ(w.snapshot_at(kT0 + 10'000'000).requests_in(3'600'000'000ull),
+            1u);
+
+  // reset() zeroes the total only; the ring is wall-clock history.
+  w.reset();
+  const WindowedTotals zero = w.totals();
+  EXPECT_EQ(zero.records, 0u);
+  EXPECT_EQ(zero.requests, 0u);
+  EXPECT_EQ(zero.errors, 0u);
+  EXPECT_EQ(zero.latency.count, 0u);
+  EXPECT_EQ(w.snapshot_at(kT0 + 10'000'000).requests_in(3'600'000'000ull),
+            1u);
+}
+
+TEST(Windowed, RecordSinceTimesFromItsWallClockStart) {
+  WindowedStats w;
+  const auto start =
+      std::chrono::system_clock::now() - std::chrono::milliseconds(2);
+  w.record_since(start, 3, 1);
+  const WindowedTotals t = w.totals();
+  EXPECT_EQ(t.records, 1u);
+  EXPECT_EQ(t.requests, 3u);
+  EXPECT_EQ(t.errors, 1u);
+  ASSERT_EQ(t.latency.count, 1u);
+  EXPECT_GE(t.latency.min(), 2000.0);
+  // The end reading doubles as the slice epoch: the record is in the
+  // current window.
+  const WindowedSnapshot s = w.snapshot();
+  EXPECT_EQ(s.requests_in(60'000'000), 3u);
+  EXPECT_EQ(s.errors_in(60'000'000), 1u);
 }
 
 TEST(Windowed, ConcurrentRecordersNeverLoseRequests) {

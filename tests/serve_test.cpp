@@ -14,6 +14,7 @@
 #include "compress/pq.hpp"
 #include "compress/quantize.hpp"
 #include "embed/io.hpp"
+#include "serve/demo_store.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -1002,6 +1003,67 @@ TEST(Gate, AuditLogRoundTrips) {
   EXPECT_TRUE(rows[0].promoted);
   EXPECT_GE(rows[0].eis, 0.0);
   EXPECT_EQ(rows[1].reason, "candidate is already live");
+}
+
+// ---- Demo store golden bytes -------------------------------------------
+
+/// FNV-1a over every version's rows (copy_rows over all ids), 200
+/// synthesized OOV words and memory_bytes, in version order. Pins the
+/// bytes the --demo daemon serves, so a change to how the fixture builds
+/// its fp32 sources must leave every served byte as it was. The fixture
+/// draws through Rng::normal, so the constants are pinned to libstdc++.
+std::uint64_t demo_store_hash(const DemoStoreConfig& config) {
+  EmbeddingStore store;
+  add_demo_versions(store, config);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const char* version : {"v1", "v2-good", "v3-bad"}) {
+    const SnapshotPtr snap = store.snapshot(version);
+    std::vector<std::size_t> ids(snap->vocab_size());
+    for (std::size_t w = 0; w < ids.size(); ++w) ids[w] = w;
+    std::vector<float> rows(ids.size() * snap->dim());
+    snap->copy_rows(ids.data(), ids.size(), rows.data());
+    mix(rows.data(), rows.size() * sizeof(float));
+    std::vector<float> oov(snap->dim());
+    for (std::size_t i = 0; i < 200; ++i) {
+      const bool hit =
+          snap->synthesize_oov("w" + std::to_string(100000 + 37 * i),
+                               oov.data());
+      mix(&hit, sizeof hit);
+      mix(oov.data(), oov.size() * sizeof(float));
+    }
+    const std::uint64_t bytes = snap->memory_bytes();
+    mix(&bytes, sizeof bytes);
+  }
+  return h;
+}
+
+TEST(DemoStoreGolden, EveryVersionServesThePinnedBytes) {
+  DemoStoreConfig int8;
+  int8.vocab = 20000;
+  int8.dim = 200;
+  int8.bits = 8;
+  DemoStoreConfig four_bit;
+  four_bit.vocab = 3000;
+  four_bit.dim = 48;
+  four_bit.bits = 4;
+  DemoStoreConfig pq;
+  pq.pq_m = 4;
+  pq.pq_bits = 8;
+  const std::uint64_t golden[] = {0x888695684c2487e7ULL, 0xb1f25769e5bc2dcfULL,
+                                  0x97e91a853007faaeULL};
+  const DemoStoreConfig* configs[] = {&int8, &four_bit, &pq};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::uint64_t got = demo_store_hash(*configs[i]);
+    EXPECT_EQ(got, golden[i]) << "store " << i << ": got 0x" << std::hex
+                              << got;
+  }
 }
 
 }  // namespace

@@ -146,6 +146,7 @@ void Router::register_metrics() {
   // lookups count as errors), SLO burn, and global-id heavy hitters.
   obs::export_load_plane(metrics_, "anchor_router_", windowed_, slo_,
                          load_.get());
+  obs::export_process_metrics(metrics_);
 }
 
 Router::~Router() { stop(); }

@@ -191,6 +191,7 @@ void Server::register_metrics() {
   });
   // The windowed plane: rolling rates, SLO burn, heavy hitters, heat.
   obs::export_load_plane(metrics_, "anchor_", windowed_, slo_, load_.get());
+  obs::export_process_metrics(metrics_);
   metrics_.on_collect([this](obs::MetricsRegistry& reg) {
     reg.gauge("anchor_batcher_window_keys_per_s_1m",
               "Coalesced lookup keys/s over the last 60 s")

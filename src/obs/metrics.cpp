@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 namespace anchor::obs {
@@ -260,6 +262,25 @@ std::string to_text(const MetricsReport& report) {
     }
   }
   return os.str();
+}
+
+std::uint64_t process_peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;  // kB
+    }
+  }
+  return 0;
+}
+
+void export_process_metrics(MetricsRegistry& registry) {
+  registry.on_collect([](MetricsRegistry& reg) {
+    reg.gauge("anchor_process_peak_rss_bytes",
+              "Peak resident set size of this process (VmHWM), bytes")
+        .set(static_cast<double>(process_peak_rss_bytes()));
+  });
 }
 
 }  // namespace anchor::obs

@@ -143,4 +143,12 @@ class MetricsRegistry {
   std::vector<std::function<void(MetricsRegistry&)>> collectors_;
 };
 
+/// Peak resident set size of this process in bytes: VmHWM from
+/// /proc/self/status, 0 where the file or the field is missing.
+std::uint64_t process_peak_rss_bytes();
+
+/// Registers the process-level series both daemons export under the same
+/// name: anchor_process_peak_rss_bytes, read at snapshot time.
+void export_process_metrics(MetricsRegistry& registry);
+
 }  // namespace anchor::obs

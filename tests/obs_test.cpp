@@ -259,6 +259,23 @@ TEST(Metrics, BridgedCollectorsAndHistogramProvidersRunAtSnapshot) {
   EXPECT_EQ(reg.snapshot().metrics.size(), 3u);
 }
 
+TEST(Metrics, ProcessPeakRssGaugeReadsAtSnapshotAndNeverFalls) {
+  MetricsRegistry reg;
+  export_process_metrics(reg);
+  const MetricsReport before = reg.snapshot();
+  ASSERT_EQ(before.metrics.size(), 1u);
+  EXPECT_EQ(before.metrics[0].name, "anchor_process_peak_rss_bytes");
+  EXPECT_GT(before.metrics[0].gauge, 0.0);
+  // Touch 64 MiB: the high-water mark read at the next snapshot covers it.
+  std::vector<char> block(std::size_t{64} << 20);
+  volatile char* pages = block.data();
+  for (std::size_t i = 0; i < block.size(); i += 4096) pages[i] = 1;
+  const double after = reg.snapshot().metrics[0].gauge;
+  EXPECT_GE(after, static_cast<double>(block.size()));
+  EXPECT_GE(after, before.metrics[0].gauge);
+  EXPECT_GE(static_cast<double>(process_peak_rss_bytes()), after);
+}
+
 TEST(Metrics, PrometheusExposition) {
   MetricsRegistry reg;
   reg.counter("app_requests_total", "Total requests").inc(12);

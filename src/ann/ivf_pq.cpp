@@ -98,16 +98,13 @@ IvfPqArtifacts train_ivfpq(const embed::Embedding& rows,
   coarse_cfg.bits = c.nlist_bits == 0 ? 1 : c.nlist_bits;
   coarse_cfg.max_iters = c.train_iters;
   coarse_cfg.seed = c.seed;
+  std::vector<std::vector<float>> coarse =
+      compress::pq_train_codebooks(rows, coarse_cfg);
+  const std::vector<std::uint32_t> cells =
+      compress::pq_encode(rows, coarse, coarse_cfg.bits);
   IvfPqArtifacts art;
   art.dim = rows.dim;
-  std::vector<std::uint32_t> cells;
-  {
-    // Scoped so the coarse reconstruction is freed before the residuals
-    // are built.
-    compress::PqResult coarse = compress::pq_quantize(rows, coarse_cfg);
-    art.coarse = std::move(coarse.codebooks[0]);
-    cells = std::move(coarse.codes);
-  }
+  art.coarse = std::move(coarse[0]);
   if (c.nlist_bits == 0) {
     // One cell: its centroid is the first (and only) trained centroid.
     art.coarse.resize(rows.dim);
@@ -116,23 +113,30 @@ IvfPqArtifacts train_ivfpq(const embed::Embedding& rows,
   // Stage 2 — residual codebooks, trained on (row − its cell centroid).
   // Residuals concentrate around 0 regardless of which cell a row landed
   // in, which is why one codebook set can be shared across all cells.
-  // Training only: the index encodes the rows itself.
-  embed::Embedding residuals(rows.vocab_size, rows.dim);
-  const std::size_t nlist = art.nlist();
-  for (std::size_t w = 0; w < rows.vocab_size; ++w) {
-    std::size_t cell = cells[w];
-    if (cell >= nlist) cell = 0;
-    const float* cent = art.coarse.data() + cell * rows.dim;
-    const float* src = rows.row(w);
-    float* dst = residuals.row(w);
-    for (std::size_t j = 0; j < rows.dim; ++j) dst[j] = src[j] - cent[j];
-  }
+  // Training only: the index encodes the rows itself. Each sub-quantizer
+  // trains on its own n × sub_dim residual slice, built just before, so
+  // the stage never holds an n × dim residual matrix.
   compress::PqConfig pq_cfg;
   pq_cfg.num_subvectors = c.pq_m;
   pq_cfg.bits = c.pq_bits;
   pq_cfg.max_iters = c.train_iters;
   pq_cfg.seed = c.seed + 1;
-  art.codebooks = compress::pq_train_codebooks(residuals, pq_cfg);
+  const std::size_t nlist = art.nlist();
+  const std::size_t sub_dim = rows.dim / c.pq_m;
+  std::vector<float> slice(rows.vocab_size * sub_dim);
+  art.codebooks.resize(c.pq_m);
+  for (std::size_t s = 0; s < c.pq_m; ++s) {
+    for (std::size_t w = 0; w < rows.vocab_size; ++w) {
+      std::size_t cell = cells[w];
+      if (cell >= nlist) cell = 0;
+      const float* cent = art.coarse.data() + cell * rows.dim + s * sub_dim;
+      const float* src = rows.row(w) + s * sub_dim;
+      float* dst = slice.data() + w * sub_dim;
+      for (std::size_t j = 0; j < sub_dim; ++j) dst[j] = src[j] - cent[j];
+    }
+    art.codebooks[s] = compress::pq_train_slice(slice.data(), rows.vocab_size,
+                                                sub_dim, pq_cfg, s);
+  }
   return art;
 }
 

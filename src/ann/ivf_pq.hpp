@@ -10,8 +10,8 @@
 //     IS a full-dimension vector quantizer — the codebook is the cell
 //     centroid set, the codes are the cell assignments).
 //   • Per-row PQ codes of the RESIDUAL (row − its cell centroid), m
-//     sub-quantizers × 2^pq_bits centroids each, trained with
-//     compress::pq_train_codebooks.
+//     sub-quantizers × 2^pq_bits centroids each, trained one residual
+//     slice at a time with compress::pq_train_slice.
 //   • Search: probe the nprobe cells nearest the query, score every row in
 //     them with the asymmetric-distance (ADC) LUT kernel
 //     la::kernels::adc_scan, keep the `rerank` best as a shortlist, and

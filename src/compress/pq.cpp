@@ -138,34 +138,80 @@ void check_shape(const embed::Embedding& input, const PqConfig& config) {
   ANCHOR_CHECK_GT(input.vocab_size, 0u);
 }
 
+/// pq_encode's body: writes the codes to `codes` and returns the summed
+/// squared distance of every sub-vector to its centroid, added in
+/// (sub-vector, row) order — pq_quantize's distortion numerator.
+double encode_rows(const embed::Embedding& input,
+                   const std::vector<std::vector<float>>& codebooks, int bits,
+                   std::vector<std::uint32_t>& codes) {
+  const std::size_t m = codebooks.size();
+  ANCHOR_CHECK_GT(m, 0u);
+  ANCHOR_CHECK_GT(bits, 0);
+  ANCHOR_CHECK_LE(bits, 16);
+  ANCHOR_CHECK_EQ(input.dim % m, 0u);
+  const std::size_t sub_dim = input.dim / m;
+  const std::size_t k = std::size_t{1} << bits;
+  const std::size_t n = input.vocab_size;
+  for (const std::vector<float>& codebook : codebooks) {
+    ANCHOR_CHECK_EQ(codebook.size(), k * sub_dim);
+  }
+  codes.assign(n * m, 0);
+  double total_err = 0.0;
+  std::vector<float> buf;
+  std::vector<std::uint32_t> assign(n);
+  std::vector<double> dist(n);
+  for (std::size_t s = 0; s < m; ++s) {
+    assign_nearest(slice_of(input, s, sub_dim, buf), n, sub_dim, codebooks[s],
+                   k, assign, dist);
+    for (std::size_t w = 0; w < n; ++w) {
+      codes[w * m + s] = assign[w];
+      total_err += dist[w];
+    }
+  }
+  return total_err;
+}
+
 }  // namespace
+
+std::vector<float> pq_train_slice(const float* points, std::size_t n,
+                                  std::size_t sub_dim, const PqConfig& config,
+                                  std::size_t s) {
+  ANCHOR_CHECK_GT(config.bits, 0);
+  ANCHOR_CHECK_LE(config.bits, 16);
+  const std::size_t k = std::size_t{1} << config.bits;
+  // More centroids than points would silently shrink the codebook and break
+  // the shared-codebook protocol between a pair; reject loudly instead.
+  ANCHOR_CHECK_MSG(k <= n, "2^bits centroids exceed the vocabulary size");
+  return lloyd(points, n, sub_dim, k, config.max_iters, config.tol,
+               config.seed + s);
+}
 
 std::vector<std::vector<float>> pq_train_codebooks(
     const embed::Embedding& input, const PqConfig& config) {
   check_shape(input, config);
   const std::size_t m = config.num_subvectors;
   const std::size_t sub_dim = input.dim / m;
-  const std::size_t k = std::size_t{1} << config.bits;
-  const std::size_t n = input.vocab_size;
-  // More centroids than points would silently shrink the codebook and break
-  // the shared-codebook protocol between a pair; reject loudly instead.
-  ANCHOR_CHECK_MSG(k <= n, "2^bits centroids exceed the vocabulary size");
-
   std::vector<std::vector<float>> codebooks(m);
   std::vector<float> buf;
   for (std::size_t s = 0; s < m; ++s) {
-    codebooks[s] = lloyd(slice_of(input, s, sub_dim, buf), n, sub_dim, k,
-                         config.max_iters, config.tol, config.seed + s);
+    codebooks[s] = pq_train_slice(slice_of(input, s, sub_dim, buf),
+                                  input.vocab_size, sub_dim, config, s);
   }
   return codebooks;
+}
+
+std::vector<std::uint32_t> pq_encode(
+    const embed::Embedding& input,
+    const std::vector<std::vector<float>>& codebooks, int bits) {
+  std::vector<std::uint32_t> codes;
+  encode_rows(input, codebooks, bits, codes);
+  return codes;
 }
 
 PqResult pq_quantize(const embed::Embedding& input, const PqConfig& config) {
   check_shape(input, config);
   const std::size_t m = config.num_subvectors;
   const std::size_t sub_dim = input.dim / m;
-  const std::size_t k = std::size_t{1} << config.bits;
-  const std::size_t n = input.vocab_size;
 
   PqResult result;
   result.code_bits = config.bits;
@@ -175,31 +221,20 @@ PqResult pq_quantize(const embed::Embedding& input, const PqConfig& config) {
     // The codebook is fixed, not trained, so a slice smaller than k (e.g.
     // one shard of a sharded store encoding with shared codebooks) is fine.
     ANCHOR_CHECK_EQ(config.codebooks_override.size(), m);
-    for (std::size_t s = 0; s < m; ++s) {
-      ANCHOR_CHECK_EQ(config.codebooks_override[s].size(), k * sub_dim);
-    }
     result.codebooks = config.codebooks_override;
   }
-  result.codes.assign(n * m, 0);
-  result.embedding = embed::Embedding(n, input.dim);
+  const double total_err =
+      encode_rows(input, result.codebooks, config.bits, result.codes);
+  result.distortion = total_err / static_cast<double>(input.data.size());
 
-  double total_err = 0.0;
-  std::vector<float> buf;
-  std::vector<std::uint32_t> assign(n);
-  std::vector<double> dist(n);
-  for (std::size_t s = 0; s < m; ++s) {
-    const std::vector<float>& codebook = result.codebooks[s];
-    assign_nearest(slice_of(input, s, sub_dim, buf), n, sub_dim, codebook, k,
-                   assign, dist);
-    for (std::size_t w = 0; w < n; ++w) {
-      result.codes[w * m + s] = assign[w];
-      std::copy_n(codebook.data() + std::size_t{assign[w]} * sub_dim,
+  result.embedding = embed::Embedding(input.vocab_size, input.dim);
+  for (std::size_t w = 0; w < input.vocab_size; ++w) {
+    for (std::size_t s = 0; s < m; ++s) {
+      std::copy_n(result.codebooks[s].data() +
+                      std::size_t{result.codes[w * m + s]} * sub_dim,
                   sub_dim, result.embedding.row(w) + s * sub_dim);
-      total_err += dist[w];
     }
   }
-  result.distortion =
-      total_err / static_cast<double>(input.data.size());
   return result;
 }
 

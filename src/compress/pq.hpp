@@ -51,14 +51,32 @@ struct PqResult {
 };
 
 /// Learns (or reuses) per-sub-vector codebooks with Lloyd k-means and
-/// reconstructs every row from its nearest codes.
+/// reconstructs every row from its nearest codes: pq_train_codebooks (or
+/// config.codebooks_override), then pq_encode, then the reconstruction.
 PqResult pq_quantize(const embed::Embedding& input, const PqConfig& config);
 
 /// The training half of pq_quantize alone: the m codebooks it learns when
 /// config.codebooks_override is empty (the override is not consulted), with
-/// no codes, reconstruction or distortion — for callers that encode
-/// elsewhere, like the IVF-PQ residual stage.
+/// no codes, reconstruction or distortion.
 std::vector<std::vector<float>> pq_train_codebooks(
     const embed::Embedding& input, const PqConfig& config);
+
+/// The codebook pq_train_codebooks learns for sub-vector `s`, trained on
+/// `n` contiguous sub-vectors of `sub_dim` floats that the caller laid out
+/// (the IVF-PQ residual stage builds one residual slice at a time, so no
+/// n × dim residual matrix exists). config.num_subvectors and the override
+/// are not consulted; the seed is config.seed + s.
+std::vector<float> pq_train_slice(const float* points, std::size_t n,
+                                  std::size_t sub_dim, const PqConfig& config,
+                                  std::size_t s);
+
+/// The encoding half of pq_quantize alone: codes[w·m + s], the nearest of
+/// codebooks[s]'s 2^bits centroids to row w's sub-vector s, with no n × dim
+/// reconstruction. m = codebooks.size() must divide input.dim and each
+/// codebook hold 2^bits × (dim/m) floats. A pure function of (row bytes,
+/// codebooks): the same codes pq_quantize returns, at any pool size.
+std::vector<std::uint32_t> pq_encode(
+    const embed::Embedding& input,
+    const std::vector<std::vector<float>>& codebooks, int bits);
 
 }  // namespace anchor::compress

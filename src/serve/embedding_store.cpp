@@ -87,24 +87,30 @@ EmbeddingSnapshot::EmbeddingSnapshot(std::string version,
     // byte-per-code rows into shards. Encoding against fixed codebooks is a
     // pure function of the row bytes, which is what makes shared-codebook
     // shards merge bit-identically to a single-process store.
-    compress::PqConfig pq;
-    pq.num_subvectors = config_.pq_m;
-    pq.bits = config_.pq_bits;
-    pq.codebooks_override = config_.pq_codebooks_override;
-    const compress::PqResult coded = compress::pq_quantize(source, pq);
+    // Codes only: no n × dim reconstruction is built.
     const std::size_t m = config_.pq_m;
+    compress::PqConfig pq;
+    pq.num_subvectors = m;
+    pq.bits = config_.pq_bits;
+    const std::vector<std::vector<float>> codebooks =
+        config_.pq_codebooks_override.empty()
+            ? compress::pq_train_codebooks(source, pq)
+            : config_.pq_codebooks_override;
+    ANCHOR_CHECK_EQ(codebooks.size(), m);
+    const std::vector<std::uint32_t> codes =
+        compress::pq_encode(source, codebooks, config_.pq_bits);
     const std::size_t sub_dim = dim_ / m;
     const std::size_t ksub = std::size_t{1} << config_.pq_bits;
     pq_flat_.resize(m * ksub * sub_dim);
     for (std::size_t s = 0; s < m; ++s) {
-      std::copy(coded.codebooks[s].begin(), coded.codebooks[s].end(),
+      std::copy(codebooks[s].begin(), codebooks[s].end(),
                 pq_flat_.begin() + s * ksub * sub_dim);
     }
     for (std::size_t w = 0; w < vocab_size_; ++w) {
       std::uint8_t* row =
           shards_[w % num_shards].codes.data() + (w / num_shards) * m;
       for (std::size_t s = 0; s < m; ++s) {
-        row[s] = static_cast<std::uint8_t>(coded.codes[w * m + s]);
+        row[s] = static_cast<std::uint8_t>(codes[w * m + s]);
       }
     }
   } else {

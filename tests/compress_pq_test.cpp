@@ -13,6 +13,7 @@
 #include "compress/pq.hpp"
 #include "compress/quantize.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace anchor::compress {
 namespace {
@@ -205,6 +206,35 @@ TEST(Pq, DeterministicAcrossRunsAndRejectsBadShapes) {
                 full.codes[w * shard.num_subvectors + s]);
     }
   }
+}
+
+TEST(Pq, EncodeAloneGivesPqQuantizesCodesAtEveryPoolSize) {
+  // pq_encode is pq_quantize without the reconstruction: against the
+  // codebooks pq_quantize trained (and against an override), it must give
+  // the same codes, whatever the pool size.
+  const auto input = random_embedding(1200, 24, 31);
+  const auto other = random_embedding(500, 24, 32);
+  PqConfig config;
+  config.num_subvectors = 3;
+  config.bits = 5;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_global_pool_threads(threads);
+    const PqResult trained = pq_quantize(input, config);
+    EXPECT_EQ(pq_encode(input, trained.codebooks, config.bits), trained.codes)
+        << threads << " threads";
+    EXPECT_EQ(pq_train_codebooks(input, config), trained.codebooks)
+        << threads << " threads";
+    PqConfig shared = config;
+    shared.codebooks_override = trained.codebooks;
+    EXPECT_EQ(pq_encode(other, trained.codebooks, config.bits),
+              pq_quantize(other, shared).codes)
+        << threads << " threads";
+  }
+  util::set_global_pool_threads(0);
+  // Codebooks that do not match the bit width are rejected.
+  const PqResult trained = pq_quantize(input, config);
+  EXPECT_THROW(pq_encode(input, trained.codebooks, config.bits + 1),
+               std::exception);
 }
 
 }  // namespace

@@ -254,20 +254,19 @@ constexpr const char* kBatchTooLarge =
     "batch too large: reply would exceed the frame cap";
 
 /// Records one data-plane request into a windowed ring on scope exit:
-/// wall latency from construction; counted as an error unless the
-/// handler cleared the flag after putting a clean reply on the wire, so
-/// malformed frames, serving errors, and injected drops all burn budget.
+/// wall latency from construction (two clock reads, through
+/// record_since); counted as an error unless the handler cleared the flag
+/// after putting a clean reply on the wire, so malformed frames, serving
+/// errors, and injected drops all burn budget.
 struct WindowedScope {
   explicit WindowedScope(obs::WindowedStats& w) : w_(w) {}
-  ~WindowedScope() {
-    w_.record(static_cast<double>(obs::Tracer::now_ns() - t0_) / 1000.0,
-              error);
-  }
+  ~WindowedScope() { w_.record_since(start_, 1, error ? 1 : 0); }
   WindowedScope(const WindowedScope&) = delete;
   WindowedScope& operator=(const WindowedScope&) = delete;
 
   obs::WindowedStats& w_;
-  std::uint64_t t0_ = obs::Tracer::now_ns();
+  std::chrono::system_clock::time_point start_ =
+      std::chrono::system_clock::now();
   bool error = true;
 };
 

@@ -1,5 +1,6 @@
-// Ablations of the compression-protocol design choices DESIGN.md calls out
-// (paper Appendix C.2 asserts these choices reduce gratuitous instability):
+// Ablations of the compression-protocol design choices of paper Appendix
+// C.2, which asserts they reduce gratuitous instability (run at README.md's
+// "Scaled setting"):
 //   1. Procrustes alignment before compression vs no alignment,
 //   2. shared vs independent clipping thresholds,
 //   3. deterministic vs stochastic rounding.

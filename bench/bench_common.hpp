@@ -1,10 +1,10 @@
 // Shared configuration and helpers for the reproduction benches.
 //
 // Every bench binary regenerates one table or figure of the paper at the
-// scaled-down setting described in DESIGN.md. All word-embedding benches
-// share one artifact cache (./anchor-cache by default, override with
-// ANCHOR_CACHE_DIR), so they can run in any order; whichever runs first
-// pays the training cost.
+// scaled-down setting described in README.md ("Scaled setting"). All
+// word-embedding benches share one artifact cache (./anchor-cache by
+// default, override with ANCHOR_CACHE_DIR), so they can run in any order;
+// whichever runs first pays the training cost.
 #pragma once
 
 #include <iostream>
@@ -16,8 +16,8 @@
 
 namespace anchor::bench {
 
-/// The bench-scale experiment grid (see DESIGN.md §1 for the mapping from
-/// the paper's scale). Single source of truth for every figure/table bench.
+/// The bench-scale experiment grid (README.md, "Scaled setting", maps it
+/// to the paper's scale). Single source of truth for every figure/table bench.
 inline pipeline::PipelineConfig bench_config() {
   pipeline::PipelineConfig c;  // defaults are already bench-scale
   c.ner_train = 400;
@@ -57,7 +57,7 @@ inline double mean(const std::vector<double>& v) {
 inline void print_header(const std::string& title, const std::string& paper_ref) {
   std::cout << "\n=== " << title << " ===\n"
             << "(reproduces " << paper_ref << " at the scaled setting of "
-            << "DESIGN.md; shapes, not absolute values, are the claim)\n\n";
+            << "README.md; shapes, not absolute values, are the claim)\n\n";
 }
 
 /// Directional shape check printed with each bench so regressions in the

@@ -1,8 +1,8 @@
 // Table 8 (Appendix D.3): hyperparameter selection for the eigenspace
 // instability measure's α and the k-NN measure's k — average Spearman
 // correlation with downstream instability across the sentiment + NER tasks
-// and the CBOW + MC algorithms. Also covers the α ablation DESIGN.md calls
-// out (α = 0 reduces Σ to an unweighted projector sum).
+// and the CBOW + MC algorithms, at README.md's "Scaled setting". Also covers
+// the α ablation (α = 0 reduces Σ to an unweighted projector sum).
 #include "bench/bench_common.hpp"
 
 #include "core/selection.hpp"

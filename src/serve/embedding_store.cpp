@@ -86,8 +86,8 @@ EmbeddingSnapshot::EmbeddingSnapshot(std::string version,
     // Train (or reuse) codebooks over the FULL vocabulary, then scatter the
     // byte-per-code rows into shards. Encoding against fixed codebooks is a
     // pure function of the row bytes, which is what makes shared-codebook
-    // shards merge bit-identically to a single-process store.
-    // Codes only: no n × dim reconstruction is built.
+    // shards merge bit-identically to a single-process store. Only the
+    // codes are built, no n × dim reconstruction.
     const std::size_t m = config_.pq_m;
     compress::PqConfig pq;
     pq.num_subvectors = m;
